@@ -379,6 +379,14 @@ pub struct LivePointSet {
     pub states: LivePointStates,
 }
 
+/// The parentage fields of a stored [`LivePointSet`]: decoding a set's
+/// payload as this skips its `states` without materialising them.
+#[derive(serde::Deserialize)]
+struct LivePointParentage {
+    parent_key: u64,
+    plan_sig: u64,
+}
+
 impl LivePointSet {
     /// Checks a loaded set against the identity it was looked up under.
     ///
@@ -678,6 +686,7 @@ impl TraceStore {
         let _span = trips_obs::span("store.load");
         let path = self.path_for_key(key);
         let mut attempt = 0u32;
+        let read_span = trips_obs::span("store.read");
         let bytes = loop {
             let read = match trips_chaos::read_fault() {
                 Some(e) => Err(e),
@@ -712,14 +721,23 @@ impl TraceStore {
                 }
             }
         };
+        drop(read_span);
         self.record_io_ok();
         trips_obs::counter("store_read_bytes_total").inc(bytes.len() as u64);
         trips_obs::cost::add_store_read(bytes.len() as u64);
-        let payload = match Self::verify_container(key, kind, payload_version, &bytes) {
+        let verified = {
+            let _span = trips_obs::span("store.verify");
+            Self::verify_container(key, kind, payload_version, &bytes)
+        };
+        let payload = match verified {
             Ok(p) => p,
             Err(why) => return self.reject(&path, why),
         };
-        match decode_payload(payload) {
+        let decoded = {
+            let _span = trips_obs::span("store.decode");
+            decode_payload(payload)
+        };
+        match decoded {
             Ok(v) => LoadOutcome::Hit(Box::new(v)),
             Err(why) => self.reject(&path, why),
         }
@@ -737,7 +755,7 @@ impl TraceStore {
             id.stable_hash(),
             KIND_BLOCK_TRACE,
             trips_isa::trace::TRACE_VERSION,
-            &serde::bin::to_bytes(log),
+            log,
         )
     }
 
@@ -747,31 +765,35 @@ impl TraceStore {
     /// # Errors
     /// Any I/O error.
     pub fn save_risc(&self, id: &RiscTraceId, trace: &RiscTrace) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_RISC_TRACE,
-            RISC_TRACE_VERSION,
-            &serde::bin::to_bytes(trace),
-        )
+        self.save_kind(id.stable_hash(), KIND_RISC_TRACE, RISC_TRACE_VERSION, trace)
     }
 
-    fn save_kind(
+    fn save_kind<T: serde::Serialize>(
         &self,
         key: u64,
         kind: u32,
         payload_version: u32,
-        payload: &[u8],
+        value: &T,
     ) -> io::Result<()> {
         let _span = trips_obs::span("store.save");
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+        // The payload is encoded in place after the header; its hash and
+        // length are patched in once it is complete.
+        let mut bytes = Vec::with_capacity(HEADER_LEN);
         bytes.extend_from_slice(&STORE_MAGIC);
         bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
         bytes.extend_from_slice(&kind.to_le_bytes());
         bytes.extend_from_slice(&payload_version.to_le_bytes());
         bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&trips_isa::hash::content_hash(payload).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        bytes.resize(HEADER_LEN, 0);
+        {
+            let _span = trips_obs::span("store.encode");
+            value.bin_encode(&mut bytes);
+        }
+        let payload = &bytes[HEADER_LEN..];
+        let hash = trips_isa::hash::content_hash(payload);
+        let len = payload.len() as u64;
+        bytes[24..32].copy_from_slice(&hash.to_le_bytes());
+        bytes[32..40].copy_from_slice(&len.to_le_bytes());
 
         // Transient write errors (a filesystem having a moment, injected
         // ENOSPC/short writes) retry with bounded backoff; only a
@@ -878,12 +900,7 @@ impl TraceStore {
     /// # Errors
     /// Any I/O error.
     pub fn save_bbv(&self, id: &BbvId, art: &PhaseArtifact) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_BBV,
-            BBV_VERSION,
-            &serde::bin::to_bytes(art),
-        )
+        self.save_kind(id.stable_hash(), KIND_BBV, BBV_VERSION, art)
     }
 
     /// Quarantines the file under a BBV/phase-plan identity (used when a
@@ -899,12 +916,7 @@ impl TraceStore {
     /// # Errors
     /// Any I/O error.
     pub fn save_livepoint(&self, id: &LivePointId, set: &LivePointSet) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_LIVEPOINT,
-            LIVEPOINT_VERSION,
-            &serde::bin::to_bytes(set),
-        )
+        self.save_kind(id.stable_hash(), KIND_LIVEPOINT, LIVEPOINT_VERSION, set)
     }
 
     /// Quarantines the file under a live-point identity (used when a
@@ -1238,7 +1250,8 @@ impl TraceStore {
                     match fs::read(path).ok().and_then(|bytes| {
                         (bytes.len() >= HEADER_LEN)
                             .then(|| {
-                                serde::bin::from_bytes::<LivePointSet>(&bytes[HEADER_LEN..]).ok()
+                                serde::bin::from_bytes::<LivePointParentage>(&bytes[HEADER_LEN..])
+                                    .ok()
                             })
                             .flatten()
                     }) {

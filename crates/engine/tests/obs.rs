@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use trips_engine::sweep::to_csv;
-use trips_engine::{run_sweep, Session, SweepSpec};
+use trips_engine::{run_sweep, Session, SweepSpec, TraceStore};
 
 /// CSV rows truncated to the 15 deterministic columns (through `status`;
 /// wall_ms and the RowCost columns after it are timing-dependent).
@@ -69,6 +69,23 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
     let journal = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-journal.jsonl");
     trips_obs::enable_trace(&journal).expect("install trace sink");
     let traced = run_sweep(&spec(), &Session::new()).expect("traced sweep");
+    // A cold then a warm store-backed sweep: container saves and loads
+    // land in the journal split into their encode / read / verify /
+    // decode parts.
+    let store_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("obs-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    for _ in 0..2 {
+        let store = TraceStore::open(&store_dir).expect("open store");
+        let rows = run_sweep(&spec(), &Session::with_store(store))
+            .expect("store-backed sweep")
+            .rows;
+        assert_eq!(
+            stable_rows(&to_csv(&bare.rows)),
+            stable_rows(&to_csv(&rows))
+        );
+    }
+    let _ = std::fs::remove_dir_all(&store_dir);
     trips_obs::flush_trace();
 
     // The measurements are byte-identical with tracing on.
@@ -88,6 +105,12 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
         "sweep.point",
         "pool.worker",
         "session.replay_trips",
+        "store.save",
+        "store.encode",
+        "store.load",
+        "store.read",
+        "store.verify",
+        "store.decode",
     ] {
         assert!(
             labels.contains(&expected),

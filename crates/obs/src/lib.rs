@@ -33,9 +33,10 @@
 //! by dots: `sweep.run`, `sweep.point`, `pool.worker`, `pool.job`,
 //! `session.compile`, `session.capture_trace`, `session.capture_risc`,
 //! `session.replay_trips`, `session.replay_ooo`, `session.fit_phase`,
-//! `store.load`, `store.save`, `cli.main`. Keep labels static (`&'static
-//! str`): per-instance context goes in the optional `detail` field, built
-//! lazily only when a trace sink is installed.
+//! `store.load` (children `store.read`, `store.verify`, `store.decode`),
+//! `store.save` (child `store.encode`), `cli.main`. Keep labels static
+//! (`&'static str`): per-instance context goes in the optional `detail`
+//! field, built lazily only when a trace sink is installed.
 
 pub mod cost;
 pub mod metrics;
