@@ -1,4 +1,9 @@
 //! Set-associative LRU cache tag arrays and bank-occupancy tracking.
+//!
+//! Occupancy is exact per cycle: each single-ported resource keeps a
+//! `ClaimSet`, a sorted vector of the cycles already granted, which the
+//! data-tile banks, L2 banks and DRAM channels here and the operand
+//! network's links ([`crate::opn`]) all share.
 
 use serde::{Deserialize, Serialize};
 
@@ -107,44 +112,86 @@ impl Cache {
     }
 }
 
-/// A splitmix64 [`std::hash::Hasher`] for the claimed-cycle sets here and
-/// in the operand network ([`crate::opn`]). Cycle numbers are dense small
-/// integers; the default SipHash dominates both the reservation hot loops
-/// and live-point restores (hundreds of thousands of inserts per restore),
-/// while one multiply-xor round hashes a `u64` in a few cycles.
+/// A set of claimed cycles on one single-ported resource (a cache bank, a
+/// DRAM channel, or a directed operand-network link in [`crate::opn`]),
+/// kept as a sorted vector.
+///
+/// Claims arrive out of order but cluster near the newest one, so the
+/// search for a free slot starts at the tail and falls back to bisection,
+/// and an insert moves only the few claims above it. The set stays short:
+/// once it holds more than [`ClaimSet::PRUNE_LEN`] claims, everything more
+/// than [`ClaimSet::PRUNE_KEEP`] cycles below the newest grant is dropped.
+/// That rule decides which old cycles count as free again, so it is part
+/// of the timing model, not just memory hygiene.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ClaimHasher(u64);
+pub(crate) struct ClaimSet(Vec<u64>);
 
-impl std::hash::Hasher for ClaimHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+impl ClaimSet {
+    /// Claim count above which a grant prunes the set.
+    pub(crate) const PRUNE_LEN: usize = 2048;
+    /// Cycles below a pruning grant that survive the prune.
+    pub(crate) const PRUNE_KEEP: u64 = 1024;
+
+    /// A set holding `claims` (any order; duplicates collapse).
+    pub(crate) fn from_claims(claims: &[u64]) -> ClaimSet {
+        let mut v = claims.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        ClaimSet(v)
+    }
+
+    /// Index of the first claim at or after cycle `t`.
+    fn lower_bound(&self, t: u64) -> usize {
+        match self.0.last() {
+            Some(&last) if last >= t => self.0.partition_point(|&c| c < t),
+            _ => self.0.len(),
         }
     }
-    fn write_u64(&mut self, x: u64) {
-        let mut v = self.0 ^ x;
-        v ^= v >> 30;
-        v = v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        v ^= v >> 27;
-        self.0 = v;
+
+    /// The first cycle `s ≥ t` with `s..s + span` all unclaimed, and the
+    /// index its claims would be inserted at.
+    fn first_free(&self, t: u64, span: u64) -> (u64, usize) {
+        let mut start = t;
+        let mut i = self.lower_bound(t);
+        while i < self.0.len() && self.0[i] < start + span {
+            start = self.0[i] + 1;
+            i += 1;
+        }
+        (start, i)
     }
-    fn finish(&self) -> u64 {
-        let mut v = self.0;
-        v = v.wrapping_mul(0x94d0_49bb_1331_11eb);
-        v ^= v >> 31;
-        v
+
+    /// Claims the first free run of `span` cycles at or after `t` (see
+    /// [`ClaimSet::first_free`]), prunes, and returns the run's start.
+    pub(crate) fn claim(&mut self, t: u64, span: u64) -> u64 {
+        let (start, i) = self.first_free(t, span);
+        if span == 1 {
+            self.0.insert(i, start);
+        } else {
+            self.0.splice(i..i, start..start + span);
+        }
+        if self.0.len() > Self::PRUNE_LEN {
+            self.retain_from(start.saturating_sub(Self::PRUNE_KEEP));
+        }
+        start
+    }
+
+    /// The claims at cycle ≥ `horizon`, ascending.
+    pub(crate) fn claims_from(&self, horizon: u64) -> &[u64] {
+        &self.0[self.lower_bound(horizon)..]
+    }
+
+    /// Drops every claim below `horizon`.
+    fn retain_from(&mut self, horizon: u64) {
+        let n = self.lower_bound(horizon);
+        self.0.drain(..n);
     }
 }
-
-/// A claimed-cycle set keyed by the fast [`ClaimHasher`].
-pub(crate) type ClaimSet =
-    std::collections::HashSet<u64, std::hash::BuildHasherDefault<ClaimHasher>>;
 
 /// Tracks single-ported bank occupancy with exact per-cycle claims.
 ///
 /// Requests arrive with out-of-order timestamps (overlapping blocks), so
-/// each bank keeps a set of claimed cycles instead of a monotonic
-/// next-free-cycle counter.
+/// each bank keeps a `ClaimSet` (a sorted vector of claimed cycles)
+/// instead of a monotonic next-free-cycle counter.
 #[derive(Debug, Clone, Default)]
 pub struct BankPorts {
     busy: Vec<ClaimSet>,
@@ -158,7 +205,7 @@ impl BankPorts {
     /// `n` banks, all free at cycle 0.
     pub fn new(n: usize) -> BankPorts {
         BankPorts {
-            busy: vec![Default::default(); n],
+            busy: vec![ClaimSet::default(); n],
             accesses: 0,
             conflict_cycles: 0,
         }
@@ -168,24 +215,7 @@ impl BankPorts {
     /// `busy` consecutive cycles; returns the actual start time.
     pub fn reserve(&mut self, bank: usize, t: u64, busy: u64) -> u64 {
         self.accesses += 1;
-        let set = &mut self.busy[bank];
-        let mut start = t;
-        'search: loop {
-            for k in 0..busy {
-                if set.contains(&(start + k)) {
-                    start += k + 1;
-                    continue 'search;
-                }
-            }
-            break;
-        }
-        for k in 0..busy {
-            set.insert(start + k);
-        }
-        if set.len() > 2048 {
-            let horizon = start.saturating_sub(1024);
-            set.retain(|&c| c >= horizon);
-        }
+        let start = self.busy[bank].claim(t, busy);
         self.conflict_cycles += start - t;
         start
     }
@@ -200,11 +230,7 @@ impl BankPorts {
             busy: self
                 .busy
                 .iter()
-                .map(|set| {
-                    let mut v: Vec<u64> = set.iter().copied().filter(|&c| c >= horizon).collect();
-                    v.sort_unstable();
-                    v
-                })
+                .map(|set| set.claims_from(horizon).to_vec())
                 .collect(),
         }
     }
@@ -214,9 +240,81 @@ impl BankPorts {
     pub fn restore(&mut self, s: &BankPortsSnapshot) {
         debug_assert_eq!(self.busy.len(), s.busy.len(), "bank count mismatch");
         for (set, claims) in self.busy.iter_mut().zip(&s.busy) {
-            set.clear();
-            set.reserve(claims.len());
-            set.extend(claims.iter().copied());
+            *set = ClaimSet::from_claims(claims);
+        }
+    }
+}
+
+/// The original hash-set claim semantics, kept as the test oracle that
+/// [`ClaimSet`], [`BankPorts`] and the operand network are checked
+/// against step by step.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::BankPortsSnapshot;
+    use std::collections::HashSet;
+
+    /// Claims the first run of `span` free cycles at or after `t` by
+    /// probing one cycle at a time, then prunes claims more than 1024
+    /// cycles below the grant once the set holds more than 2048.
+    pub(crate) fn claim(set: &mut HashSet<u64>, t: u64, span: u64) -> u64 {
+        let mut start = t;
+        'search: loop {
+            for k in 0..span {
+                if set.contains(&(start + k)) {
+                    start += k + 1;
+                    continue 'search;
+                }
+            }
+            break;
+        }
+        for k in 0..span {
+            set.insert(start + k);
+        }
+        if set.len() > 2048 {
+            let horizon = start.saturating_sub(1024);
+            set.retain(|&c| c >= horizon);
+        }
+        start
+    }
+
+    /// Sorted claims at or after `horizon`.
+    pub(crate) fn sorted_from(set: &HashSet<u64>, horizon: u64) -> Vec<u64> {
+        let mut v: Vec<u64> = set.iter().copied().filter(|&c| c >= horizon).collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Hash-set bank ports.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Banks {
+        busy: Vec<HashSet<u64>>,
+        pub(crate) conflict_cycles: u64,
+    }
+
+    impl Banks {
+        pub(crate) fn new(n: usize) -> Banks {
+            Banks {
+                busy: vec![HashSet::new(); n],
+                conflict_cycles: 0,
+            }
+        }
+
+        pub(crate) fn reserve(&mut self, bank: usize, t: u64, busy: u64) -> u64 {
+            let start = claim(&mut self.busy[bank], t, busy);
+            self.conflict_cycles += start - t;
+            start
+        }
+
+        pub(crate) fn snapshot(&self, horizon: u64) -> BankPortsSnapshot {
+            BankPortsSnapshot {
+                busy: self.busy.iter().map(|s| sorted_from(s, horizon)).collect(),
+            }
+        }
+
+        pub(crate) fn restore(&mut self, s: &BankPortsSnapshot) {
+            for (set, claims) in self.busy.iter_mut().zip(&s.busy) {
+                *set = claims.iter().copied().collect();
+            }
         }
     }
 }
@@ -224,6 +322,73 @@ impl BankPorts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TripsConfig;
+    use proptest::prelude::*;
+
+    /// Request times for a reservation sequence: a clock advancing two
+    /// cycles per request plus up to 200 cycles of jitter, so requests
+    /// arrive out of order; one in ten reaches 3000 cycles back, behind
+    /// the prune horizon.
+    fn request_time(step: usize, jitter: u64, back: u64) -> u64 {
+        let t = step as u64 * 2 + jitter;
+        if back == 0 {
+            t.saturating_sub(3000)
+        } else {
+            t
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Sorted claim sets reproduce the hash-set bank ports exactly:
+        /// granted cycles, conflict cycles and snapshots at every step (of
+        /// the claims near the clock, and of every claim each 128 steps),
+        /// across the 2048-claim prune, and through snapshot → restore →
+        /// continue. Three requests in four go to bank 0, so its set
+        /// crosses the prune threshold.
+        #[test]
+        fn bank_ports_match_the_hash_set_oracle(
+            ops in prop::collection::vec((0usize..4, 0u64..200, 1u64..6, 0u64..10), 1600..2000),
+            split in 0usize..1600,
+            cut in 0u64..4000,
+        ) {
+            let dram_occupancy = TripsConfig::prototype().dram_occupancy;
+            let mut fast = BankPorts::new(2);
+            let mut slow = oracle::Banks::new(2);
+            let mut resumed: Option<(BankPorts, oracle::Banks)> = None;
+            let mut claimed = [0u64; 2];
+            for (step, &(sel, jitter, busy, back)) in ops.iter().enumerate() {
+                let bank = usize::from(sel == 3);
+                let busy = busy.min(dram_occupancy);
+                let t = request_time(step, jitter, back);
+                if step == split {
+                    let horizon = (step as u64 * 2).saturating_sub(cut);
+                    let mut f = BankPorts::new(2);
+                    f.restore(&fast.snapshot(horizon));
+                    let mut o = oracle::Banks::new(2);
+                    o.restore(&slow.snapshot(horizon));
+                    prop_assert_eq!(f.snapshot(0), o.snapshot(0));
+                    resumed = Some((f, o));
+                }
+                claimed[bank] += busy;
+                prop_assert_eq!(fast.reserve(bank, t, busy), slow.reserve(bank, t, busy));
+                prop_assert_eq!(fast.conflict_cycles, slow.conflict_cycles);
+                let near = if step % 128 == 0 { 0 } else { t.saturating_sub(256) };
+                prop_assert_eq!(fast.snapshot(near), slow.snapshot(near), "step {}", step);
+                if let Some((f, o)) = resumed.as_mut() {
+                    prop_assert_eq!(f.reserve(bank, t, busy), o.reserve(bank, t, busy));
+                    prop_assert_eq!(f.conflict_cycles, o.conflict_cycles);
+                }
+            }
+            prop_assert_eq!(fast.snapshot(0), slow.snapshot(0));
+            let (f, o) = resumed.expect("split lies inside the run");
+            prop_assert_eq!(f.snapshot(0), o.snapshot(0));
+            // Bank 0 took more claims than the threshold and was pruned.
+            prop_assert!(claimed[0] > ClaimSet::PRUNE_LEN as u64);
+            prop_assert!((fast.snapshot(0).busy[0].len() as u64) < claimed[0]);
+        }
+    }
 
     #[test]
     fn hits_after_fill() {

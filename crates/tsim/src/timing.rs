@@ -34,7 +34,7 @@ use crate::predictor::{
 };
 use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use trips_compiler::CompiledProgram;
@@ -474,6 +474,54 @@ pub fn assemble_trips_phased(
 /// the model probes occupancy more than a few thousand cycles back.
 const CLAIM_SNAPSHOT_MARGIN: u64 = 1 << 20;
 
+/// A map keyed by a `u8` (an instruction index, register or LSID): 256
+/// value slots plus a presence bitmask, so lookups never hash and
+/// [`ByteMap::clear`] is four word writes. The timing engine keeps its
+/// per-block scratch maps in these and reuses them across blocks.
+#[derive(Debug, Clone)]
+struct ByteMap<T> {
+    vals: [T; 256],
+    present: [u64; 4],
+}
+
+impl<T: Copy + Default> ByteMap<T> {
+    fn new() -> ByteMap<T> {
+        ByteMap {
+            vals: [T::default(); 256],
+            present: [0; 4],
+        }
+    }
+
+    fn get(&self, k: u8) -> Option<T> {
+        let (w, b) = (usize::from(k >> 6), k & 63);
+        (self.present[w] >> b & 1 == 1).then(|| self.vals[usize::from(k)])
+    }
+
+    fn insert(&mut self, k: u8, v: T) {
+        self.present[usize::from(k >> 6)] |= 1 << (k & 63);
+        self.vals[usize::from(k)] = v;
+    }
+
+    fn clear(&mut self) {
+        self.present = [0; 4];
+    }
+
+    /// The entries in ascending key order.
+    fn iter(&self) -> impl Iterator<Item = (u8, T)> + '_ {
+        self.present.iter().enumerate().flat_map(move |(w, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let k = (w as u32 * 64 + bits.trailing_zeros()) as u8;
+                bits &= bits - 1;
+                Some((k, self.vals[usize::from(k)]))
+            })
+        })
+    }
+}
+
 struct Timing<'a> {
     cp: &'a CompiledProgram,
     cfg: TripsConfig,
@@ -487,7 +535,9 @@ struct Timing<'a> {
     icache: Cache,
     predictor: NextBlockPredictor,
     lwt: LoadWaitTable,
-    reg_avail: HashMap<u8, u64>,
+    /// Cycle each written register's latest value reaches its register
+    /// tile; unwritten registers are available from cycle 0.
+    reg_avail: ByteMap<u64>,
     commits: VecDeque<u64>,
     last_commit: u64,
     prev_dispatch: u64,
@@ -496,6 +546,13 @@ struct Timing<'a> {
     /// block id to score the prediction.
     pending: Option<(u32, u8, ExitKind, Option<u32>, u64 /*resolve*/)>,
     stats: SimStats,
+    /// Per-block scratch: output cycle per fired instruction index.
+    done: ByteMap<u64>,
+    /// Per-block scratch: (ready at the data tile, address, bytes) per
+    /// store LSID.
+    store_dt_time: ByteMap<(u64, u64, u8)>,
+    /// [`Timing::warm_block`]'s stores: (LSID, address, bytes, fire order).
+    warm_stores: Vec<(u8, u64, u8, usize)>,
 }
 
 impl<'a> Timing<'a> {
@@ -521,13 +578,16 @@ impl<'a> Timing<'a> {
             icache: Cache::new(cfg.l1i_bytes, 2, 128),
             predictor: NextBlockPredictor::new(cfg.exit_entries, cfg.btb_entries, cfg.ras_depth),
             lwt: LoadWaitTable::new(cfg.lwt_entries.next_power_of_two()),
-            reg_avail: HashMap::new(),
+            reg_avail: ByteMap::new(),
             commits: VecDeque::new(),
             last_commit: 0,
             prev_dispatch: 0,
             prev_chunk: 0,
             pending: None,
             stats: SimStats::default(),
+            done: ByteMap::new(),
+            store_dt_time: ByteMap::new(),
+            warm_stores: Vec::new(),
         }
     }
 
@@ -540,13 +600,13 @@ impl<'a> Timing<'a> {
     fn time_block_discarded(&mut self, bidx: u32, trace: &BlockTrace) {
         let stats = self.stats.clone();
         let predictor = self.predictor.stats;
-        let opn = self.opn.stats.clone();
+        let opn = self.opn.counts;
         let conflicts = self.dt_banks.conflict_cycles;
         let violations = self.lwt.violations;
         self.time_block(bidx, trace);
         self.stats = stats;
         self.predictor.stats = predictor;
-        self.opn.stats = opn;
+        self.opn.counts = opn;
         self.dt_banks.conflict_cycles = conflicts;
         self.lwt.violations = violations;
     }
@@ -584,16 +644,13 @@ impl<'a> Timing<'a> {
         // fire) order stands in: a load observing an overlapping older
         // store that fires *after* it would have read the bank too early,
         // and trains its wait bit exactly as the timed path would.
-        let stores: Vec<(u8, u64, u8, usize)> = trace
-            .fired
-            .iter()
-            .enumerate()
-            .filter_map(|(at, ti)| {
-                let mem = ti.mem.filter(|m| m.is_store)?;
-                let lsid = block.insts[ti.idx as usize].lsid.unwrap_or(0);
-                Some((lsid, mem.addr, mem.bytes, at))
-            })
-            .collect();
+        let mut stores = std::mem::take(&mut self.warm_stores);
+        stores.clear();
+        stores.extend(trace.fired.iter().enumerate().filter_map(|(at, ti)| {
+            let mem = ti.mem.filter(|m| m.is_store)?;
+            let lsid = block.insts[ti.idx as usize].lsid.unwrap_or(0);
+            Some((lsid, mem.addr, mem.bytes, at))
+        }));
         for (at, ti) in trace.fired.iter().enumerate() {
             let Some(mem) = ti.mem else { continue };
             let bank = ((mem.addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
@@ -616,6 +673,7 @@ impl<'a> Timing<'a> {
                 }
             }
         }
+        self.warm_stores = stores;
 
         // Dispatch bookkeeping for the next block's stream latency, and the
         // transition the next block scores the predictor with.
@@ -682,9 +740,8 @@ impl<'a> Timing<'a> {
         self.prev_chunk = block.chunk_capacity();
 
         // --- dataflow timing -------------------------------------------------
-        let mut done: HashMap<u8, u64> = HashMap::new();
-        let mut store_dt_time: HashMap<u8, (u64, u64, u8)> = HashMap::new(); // lsid -> (ready@DT, addr, bytes)
-        let mut read_cache: HashMap<u8, u64> = HashMap::new();
+        self.done.clear();
+        self.store_dt_time.clear();
         let mut completion = dispatch + 1;
         let mut resolve = dispatch + 1;
         let mut violated = false;
@@ -698,16 +755,16 @@ impl<'a> Timing<'a> {
             for src in &ti.srcs {
                 let arr = match src {
                     TraceSrc::Read(r) => {
+                        // Register writes land only after the dataflow
+                        // loop, so every read in the block sees the value
+                        // available at block start.
                         let reg = block.reads[*r as usize].reg;
-                        let avail = *read_cache
-                            .entry(reg)
-                            .or_insert_with(|| self.reg_avail.get(&reg).copied().unwrap_or(0));
-                        let t0 = avail.max(dispatch);
+                        let t0 = self.reg_avail.get(reg).unwrap_or(0).max(dispatch);
                         self.opn
                             .route(Node::rt(reg / 32), here, t0, TrafficClass::EtRt)
                     }
                     TraceSrc::Inst(p) => {
-                        let t0 = done.get(p).copied().unwrap_or(dispatch);
+                        let t0 = self.done.get(*p).unwrap_or(dispatch);
                         let from =
                             Node::et(placement.get(*p as usize).copied().unwrap_or(0).min(15));
                         self.opn.route(from, here, t0, TrafficClass::EtEt)
@@ -727,7 +784,8 @@ impl<'a> Timing<'a> {
                     let t = self.dt_banks.reserve(bank, arr, 1);
                     self.l1d[bank].access(mem.addr);
                     self.stats.l1_bytes += mem.bytes as u64;
-                    store_dt_time.insert(inst.lsid.unwrap_or(0), (t + 1, mem.addr, mem.bytes));
+                    self.store_dt_time
+                        .insert(inst.lsid.unwrap_or(0), (t + 1, mem.addr, mem.bytes));
                     completion = completion.max(t + 1);
                     t + 1
                 } else {
@@ -735,9 +793,9 @@ impl<'a> Timing<'a> {
                     // dependence predictor.
                     let mut lissue = issue;
                     if self.lwt.should_wait(bidx, ti.idx) {
-                        for (lsid2, (t2, _, _)) in &store_dt_time {
-                            if inst.lsid.map(|l| *lsid2 < l).unwrap_or(false) {
-                                lissue = lissue.max(*t2);
+                        for (lsid2, (t2, _, _)) in self.store_dt_time.iter() {
+                            if inst.lsid.map(|l| lsid2 < l).unwrap_or(false) {
+                                lissue = lissue.max(t2);
                             }
                         }
                     }
@@ -768,10 +826,10 @@ impl<'a> Timing<'a> {
                     // resolved after this load read the bank.
                     if !self.lwt.should_wait(bidx, ti.idx) {
                         if let Some(l) = inst.lsid {
-                            for (lsid2, (t2, a2, b2)) in &store_dt_time {
-                                let overlap = *a2 < mem.addr + mem.bytes as u64
-                                    && mem.addr < *a2 + *b2 as u64;
-                                if *lsid2 < l && overlap && *t2 > t {
+                            for (lsid2, (t2, a2, b2)) in self.store_dt_time.iter() {
+                                let overlap =
+                                    a2 < mem.addr + mem.bytes as u64 && mem.addr < a2 + b2 as u64;
+                                if lsid2 < l && overlap && t2 > t {
                                     violated = true;
                                     self.lwt.record_violation(bidx, ti.idx);
                                     break;
@@ -796,7 +854,7 @@ impl<'a> Timing<'a> {
             } else {
                 issue + inst.op.latency() as u64
             };
-            done.insert(ti.idx, out_t);
+            self.done.insert(ti.idx, out_t);
         }
 
         // Register writes resolve at their RT.
@@ -807,12 +865,12 @@ impl<'a> Timing<'a> {
                 TraceSrc::Read(r) => {
                     let rr = block.reads[*r as usize].reg;
                     (
-                        self.reg_avail.get(&rr).copied().unwrap_or(0).max(dispatch),
+                        self.reg_avail.get(rr).unwrap_or(0).max(dispatch),
                         Node::rt(rr / 32),
                     )
                 }
                 TraceSrc::Inst(p) => (
-                    done.get(p).copied().unwrap_or(dispatch),
+                    self.done.get(*p).unwrap_or(dispatch),
                     Node::et(placement.get(*p as usize).copied().unwrap_or(0).min(15)),
                 ),
             };
@@ -857,8 +915,6 @@ impl<'a> Timing<'a> {
     /// the unit is processed). Pure machine state only — see
     /// [`TsimSnapshot`].
     fn snapshot(&self, unit: u64) -> TsimSnapshot {
-        let mut reg_avail: Vec<(u8, u64)> = self.reg_avail.iter().map(|(&r, &t)| (r, t)).collect();
-        reg_avail.sort_unstable();
         // Occupancy claims this far behind the commit point are dead: no
         // packet or bank request ever probes a cycle ~1M behind the clock
         // (in-flight blocks span tens of cycles), so snapshots exclude
@@ -876,7 +932,7 @@ impl<'a> Timing<'a> {
             icache: self.icache.snapshot(),
             predictor: self.predictor.snapshot(),
             lwt: self.lwt.snapshot(),
-            reg_avail,
+            reg_avail: self.reg_avail.iter().collect(),
             commits: self.commits.iter().copied().collect(),
             last_commit: self.last_commit,
             prev_dispatch: self.prev_dispatch,
@@ -916,7 +972,10 @@ impl<'a> Timing<'a> {
         self.icache.restore(&s.icache);
         self.predictor.restore(&s.predictor);
         self.lwt.restore(&s.lwt);
-        self.reg_avail = s.reg_avail.iter().copied().collect();
+        self.reg_avail.clear();
+        for &(r, t) in &s.reg_avail {
+            self.reg_avail.insert(r, t);
+        }
         self.commits = s.commits.iter().copied().collect();
         self.last_commit = s.last_commit;
         self.prev_dispatch = s.prev_dispatch;
@@ -931,7 +990,7 @@ impl<'a> Timing<'a> {
     /// clock defaults: the per-window delta of a restored replay.
     fn into_window_stats(mut self) -> SimStats {
         self.stats.predictor = self.predictor.stats;
-        self.stats.opn = std::mem::take(&mut self.opn.stats);
+        self.stats.opn = self.opn.stats();
         self.stats.bank_conflict_cycles = self.dt_banks.conflict_cycles;
         self.stats
     }
@@ -939,7 +998,7 @@ impl<'a> Timing<'a> {
     fn finish(mut self) -> SimStats {
         self.stats.cycles = self.last_commit.max(1);
         self.stats.predictor = self.predictor.stats;
-        self.stats.opn = std::mem::take(&mut self.opn.stats);
+        self.stats.opn = self.opn.stats();
         self.stats.bank_conflict_cycles = self.dt_banks.conflict_cycles;
         // Full-run defaults; a sampling replay overrides total_units and
         // est_cycles after folding in the stream length.
