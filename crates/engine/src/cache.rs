@@ -45,15 +45,20 @@
 //! too — a workload that cannot compile fails every request identically
 //! instead of being retried by each sweep point.
 //!
-//! An optional third tier persists traces across processes: a
-//! content-addressed [`TraceStore`] directory (see
-//! [`Session::with_store`]). On an in-memory miss the store is consulted
-//! first — a verified `<key>.trace` file stands in for a functional capture
-//! — and fresh captures are written back, so process B replays what process
-//! A captured. Successful loads must also pass
+//! A content-addressed [`TraceStore`] directory (see
+//! [`Session::with_store`]) persists four of these kinds across processes:
+//! TRIPS traces, RISC streams, fitted phase artifacts and live-point sets.
+//! Each of the four is one disk tier behind one path
+//! ([`Session`]'s `resolve`): on an in-memory miss a verified stored
+//! container stands in for the capture (or fit), fresh ones are written
+//! back, so process B replays what process A captured. A loaded payload
+//! must also pass a deep check against what it will serve — e.g.
 //! [`TraceLog::validate`](trips_isa::TraceLog::validate) against the
-//! compiled program, so even a hash-valid but stale file can never drive
-//! the timing model out of bounds; it is rejected and recaptured instead.
+//! compiled program — so even a hash-valid but stale file can never drive
+//! the timing model out of bounds; it is quarantined and recaptured
+//! instead. Each tier counts its events in its own `session_*` series
+//! (`session_disk_hits`, `session_risc_disk_hits`, `session_phase_…`,
+//! `session_livepoint_…`), mirrored field for field in [`CacheStats`].
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -66,8 +71,8 @@ use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_workloads::{Scale, Workload};
 
 use crate::store::{
-    plan_sig, BbvId, LivePointId, LivePointSet, LivePointStates, LoadOutcome, RiscTraceId,
-    TraceStore, KIND_BLOCK_TRACE, KIND_RISC_TRACE,
+    plan_sig, BbvId, ContainerId, LivePointId, LivePointSet, LivePointStates, LoadOutcome,
+    RiscTraceId, TraceStore, KIND_BLOCK_TRACE, KIND_RISC_TRACE,
 };
 use trips_phase::{PhaseArtifact, PhaseSpec};
 use trips_risc::{RiscTrace, RiscTraceMeta};
@@ -118,68 +123,59 @@ impl fmt::Display for EngineError {
 
 impl Error for EngineError {}
 
-/// A stable signature of a [`CompileOptions`] value (the shared
-/// [`StableHasher`](trips_isa::hash::StableHasher) over its debug
-/// rendering; options are plain scalars so the rendering is canonical).
-pub fn opts_sig(opts: &CompileOptions) -> u64 {
+/// The shared [`StableHasher`](trips_isa::hash::StableHasher) over a
+/// value's debug rendering (options and configurations are plain scalars,
+/// so the rendering is canonical).
+fn debug_sig(value: &impl fmt::Debug) -> u64 {
     let mut h = trips_isa::hash::StableHasher::new();
-    h.write(format!("{opts:?}").as_bytes());
+    h.write(format!("{value:?}").as_bytes());
+    h.finish()
+}
+
+/// A stable signature of a [`CompileOptions`] value.
+pub fn opts_sig(opts: &CompileOptions) -> u64 {
+    debug_sig(opts)
+}
+
+/// A program's code content signature: `code` plus the optimized IR it
+/// executes against — functions, entry and data image (the data
+/// segment's debug-only symbol table is deliberately excluded — it lives
+/// in a `HashMap`, whose serialization order is not stable).
+fn program_sig(code: &impl serde::Serialize, ir: &trips_ir::Program) -> u64 {
+    let mut h = trips_isa::hash::StableHasher::new();
+    h.write(&serde::bin::to_bytes(code));
+    h.write(&serde::bin::to_bytes(&ir.funcs));
+    h.write(&serde::bin::to_bytes(&ir.entry));
+    h.write(ir.data.image());
     h.finish()
 }
 
 /// A stable content signature of the code a capture would execute: the
-/// TRIPS blocks, the optimized IR functions and entry, and the data image
-/// (the data segment's debug-only symbol table is deliberately excluded —
-/// it lives in a `HashMap`, whose serialization order is not stable).
-/// Folded into the trace store key so that a compiler change retires every
-/// stale stored trace by itself, without waiting for a
-/// `TRACE_VERSION` bump.
+/// TRIPS blocks plus the optimized IR. Folded into the trace store key so
+/// that a compiler change retires every stale stored trace by itself,
+/// without waiting for a `TRACE_VERSION` bump.
 pub fn code_sig(compiled: &CompiledProgram) -> u64 {
-    let mut h = trips_isa::hash::StableHasher::new();
-    h.write(&serde::bin::to_bytes(&compiled.trips));
-    h.write(&serde::bin::to_bytes(&compiled.opt_ir.funcs));
-    h.write(&serde::bin::to_bytes(&compiled.opt_ir.entry));
-    h.write(compiled.opt_ir.data.image());
-    h.finish()
+    program_sig(&compiled.trips, &compiled.opt_ir)
 }
 
-/// The RISC-side counterpart of [`code_sig`]: a stable content signature of
-/// the compiled RISC program plus the optimized IR it executes against
-/// (data image included, symbol table excluded for the same stability
-/// reason). Folded into the RISC trace-store key so a codegen or optimizer
-/// change retires every stale stored stream by itself.
+/// The RISC-side counterpart of [`code_sig`]: the compiled RISC program
+/// plus the optimized IR it executes against. Folded into the RISC
+/// trace-store key so a codegen or optimizer change retires every stale
+/// stored stream by itself.
 pub fn risc_code_sig(art: &RiscArtifacts) -> u64 {
-    let mut h = trips_isa::hash::StableHasher::new();
-    h.write(&serde::bin::to_bytes(&art.program));
-    h.write(&serde::bin::to_bytes(&art.ir.funcs));
-    h.write(&serde::bin::to_bytes(&art.ir.entry));
-    h.write(art.ir.data.image());
-    h.finish()
+    program_sig(&art.program, &art.ir)
 }
 
-/// A stable signature of a [`trips_sim::TripsConfig`] (the shared
-/// [`StableHasher`](trips_isa::hash::StableHasher) over its debug
-/// rendering; configurations are plain scalars so the rendering is
-/// canonical). Keys the memoized-replay tier alongside the sampling plan.
+/// A stable signature of a [`trips_sim::TripsConfig`]. Keys the
+/// memoized-replay tier alongside the sampling plan.
 pub fn trips_cfg_sig(cfg: &trips_sim::TripsConfig) -> u64 {
-    let mut h = trips_isa::hash::StableHasher::new();
-    h.write(format!("{cfg:?}").as_bytes());
-    h.finish()
+    debug_sig(cfg)
 }
 
 /// The out-of-order counterpart of [`trips_cfg_sig`] (the platform name is
 /// part of the rendering).
 pub fn ooo_cfg_sig(cfg: &trips_ooo::OooConfig) -> u64 {
-    let mut h = trips_isa::hash::StableHasher::new();
-    h.write(format!("{cfg:?}").as_bytes());
-    h.finish()
-}
-
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Ref => "ref",
-    }
+    debug_sig(cfg)
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -190,11 +186,67 @@ struct CompileKey {
     hand: bool,
 }
 
+impl CompileKey {
+    fn new(w: &Workload, scale: Scale, opts: &CompileOptions, hand: bool) -> CompileKey {
+        CompileKey {
+            workload: w.name.to_string(),
+            scale: match scale {
+                Scale::Test => "test",
+                Scale::Ref => "ref",
+            },
+            opts: opts_sig(opts),
+            hand,
+        }
+    }
+}
+
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct TraceKey {
     compile: CompileKey,
     mem: usize,
     budget: u64,
+}
+
+impl TraceKey {
+    fn new(
+        w: &Workload,
+        scale: Scale,
+        opts: &CompileOptions,
+        hand: bool,
+        mem: usize,
+        budget: u64,
+    ) -> TraceKey {
+        TraceKey {
+            compile: CompileKey::new(w, scale, opts, hand),
+            mem,
+            budget,
+        }
+    }
+
+    /// The store identity of the TRIPS block trace this key names.
+    fn trace_id(&self, compiled: &CompiledProgram) -> TraceId {
+        TraceId {
+            workload: self.compile.workload.clone(),
+            scale: self.compile.scale.to_string(),
+            opts_sig: self.compile.opts,
+            hand: self.compile.hand,
+            code_sig: code_sig(compiled),
+            mem_size: self.mem as u64,
+            max_blocks: self.budget,
+        }
+    }
+
+    /// The store identity of the RISC event stream this key names.
+    fn risc_trace_id(&self, art: &RiscArtifacts) -> RiscTraceId {
+        RiscTraceId {
+            workload: self.compile.workload.clone(),
+            scale: self.compile.scale.to_string(),
+            opts_sig: self.compile.opts,
+            code_sig: risc_code_sig(art),
+            mem_size: self.mem as u64,
+            max_steps: self.budget,
+        }
+    }
 }
 
 /// The normalized replay-mode component of a [`ReplayKey`]: covering
@@ -347,65 +399,53 @@ pub struct CacheStats {
 }
 
 /// A memoizing measurement session shared by all sweep workers.
-#[derive(Default)]
 pub struct Session {
-    compiled: Mutex<HashMap<CompileKey, Slot<CompiledProgram>>>,
-    traces: Mutex<HashMap<TraceKey, Slot<TraceLog>>>,
-    isa: Mutex<HashMap<TraceKey, Slot<IsaOutcome>>>,
-    risc: Mutex<HashMap<CompileKey, Slot<RiscArtifacts>>>,
-    rtraces: Mutex<HashMap<TraceKey, Slot<RiscTrace>>>,
-    replays: Mutex<HashMap<ReplayKey, Slot<trips_sim::SimResult>>>,
-    ooo_replays: Mutex<HashMap<ReplayKey, Slot<trips_ooo::OooResult>>>,
-    phases: Mutex<HashMap<PhaseKey, Slot<PhasePlan>>>,
-    livepoints: Mutex<HashMap<LivePointId, Slot<LivePointSet>>>,
-    compile_hits: AtomicU64,
-    compile_misses: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    isa_hits: AtomicU64,
-    isa_misses: AtomicU64,
-    risc_hits: AtomicU64,
-    risc_misses: AtomicU64,
-    captures: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    disk_rejects: AtomicU64,
-    store_writes: AtomicU64,
-    rtrace_hits: AtomicU64,
-    rtrace_misses: AtomicU64,
-    risc_captures: AtomicU64,
-    risc_disk_hits: AtomicU64,
-    risc_disk_misses: AtomicU64,
-    risc_disk_rejects: AtomicU64,
-    risc_store_writes: AtomicU64,
-    replay_hits: AtomicU64,
-    replay_misses: AtomicU64,
-    ooo_replay_hits: AtomicU64,
-    ooo_replay_misses: AtomicU64,
-    phase_hits: AtomicU64,
-    phase_misses: AtomicU64,
-    phase_fits: AtomicU64,
-    phase_disk_hits: AtomicU64,
-    phase_disk_misses: AtomicU64,
-    phase_disk_rejects: AtomicU64,
-    phase_store_writes: AtomicU64,
-    livepoint_hits: AtomicU64,
-    livepoint_misses: AtomicU64,
-    livepoint_captures: AtomicU64,
-    livepoint_disk_hits: AtomicU64,
-    livepoint_disk_misses: AtomicU64,
-    livepoint_disk_rejects: AtomicU64,
-    livepoint_store_writes: AtomicU64,
-    disk_io_errors: AtomicU64,
-    risc_disk_io_errors: AtomicU64,
-    phase_disk_io_errors: AtomicU64,
-    livepoint_disk_io_errors: AtomicU64,
+    compiled: Memo<CompileKey, CompiledProgram>,
+    traces: Memo<TraceKey, TraceLog>,
+    isa: Memo<TraceKey, IsaOutcome>,
+    risc: Memo<CompileKey, RiscArtifacts>,
+    rtraces: Memo<TraceKey, RiscTrace>,
+    replays: Memo<ReplayKey, trips_sim::SimResult>,
+    ooo_replays: Memo<ReplayKey, trips_ooo::OooResult>,
+    phases: Memo<PhaseKey, PhasePlan>,
+    livepoints: Memo<LivePointId, LivePointSet>,
+    trace_tier: DiskTier,
+    risc_tier: DiskTier,
+    phase_tier: DiskTier,
+    livepoint_tier: DiskTier,
     degraded: AtomicU64,
     /// Live-point tier switch: 0 = disabled, `threads + 1` otherwise
     /// (so a stored 1 means "one worker per core", matching the pool's
     /// `threads = 0` convention).
     live_points: AtomicU64,
     store: OnceLock<TraceStore>,
+}
+
+impl Default for Session {
+    fn default() -> Session {
+        Session {
+            compiled: Memo::default(),
+            traces: Memo::default(),
+            isa: Memo::default(),
+            risc: Memo::default(),
+            rtraces: Memo::default(),
+            replays: Memo::default(),
+            ooo_replays: Memo::default(),
+            phases: Memo::default(),
+            livepoints: Memo::default(),
+            trace_tier: DiskTier::new("session_", "captures", Some(trips_chaos::capture_fault)),
+            risc_tier: DiskTier::new(
+                "session_risc_",
+                "captures",
+                Some(trips_chaos::capture_fault),
+            ),
+            phase_tier: DiskTier::new("session_phase_", "fits", Some(trips_chaos::fit_fault)),
+            livepoint_tier: DiskTier::new("session_livepoint_", "captures", None),
+            degraded: AtomicU64::new(0),
+            live_points: AtomicU64::new(0),
+            store: OnceLock::new(),
+        }
+    }
 }
 
 /// A cached functional (untimed) run: what the ISA figures need, without
@@ -433,6 +473,134 @@ pub struct RiscArtifacts {
 /// registry lock is uncontended in practice.
 fn m(name: &str) {
     trips_obs::counter(name).inc(1);
+}
+
+/// One in-memory tier: the artifact slots by key, plus its hit/miss
+/// counters.
+struct Memo<K, T> {
+    map: Mutex<HashMap<K, Slot<T>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K, T> Default for Memo<K, T> {
+    fn default() -> Self {
+        Memo {
+            map: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Clone + Eq + std::hash::Hash, T> Memo<K, T> {
+    /// The artifact under `key`: `init` runs once per key, concurrent
+    /// requests wait for it, and its result (failures included) is
+    /// shared — except transient failures, which are evicted.
+    fn get(
+        &self,
+        key: &K,
+        init: impl FnOnce() -> Result<Arc<T>, EngineError>,
+    ) -> Result<Arc<T>, EngineError> {
+        let slot = self.slot(key);
+        let res = slot.get_or_init(init).clone();
+        self.evict_transient(key, &slot, &res);
+        res
+    }
+
+    fn slot(&self, key: &K) -> Slot<T> {
+        let mut guard = self
+            .map
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(slot) = guard.get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(slot);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let slot: Slot<T> = Arc::new(OnceLock::new());
+        guard.insert(key.clone(), Arc::clone(&slot));
+        slot
+    }
+
+    /// Transient failures must not poison the memo ("failures are cached
+    /// too" is for *deterministic* failures — a workload that cannot
+    /// compile fails every time; an injected I/O fault does not). The
+    /// slot is evicted so the next request re-resolves the artifact,
+    /// which is what makes sweep-level retries effective.
+    fn evict_transient(&self, key: &K, slot: &Slot<T>, res: &Result<Arc<T>, EngineError>) {
+        if matches!(res, Err(e) if e.is_transient()) {
+            let mut guard = self
+                .map
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // Only evict our own slot — a racing retry may already have
+            // installed a fresh one.
+            if guard.get(key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
+                guard.remove(key);
+            }
+        }
+    }
+}
+
+/// One disk tier's counters. Each counter has a metric series named
+/// `prefix` + its suffix (`session_risc_disk_hits`, …); `produced_series`
+/// is the suffix for fresh productions (captures, or fits).
+#[derive(Default)]
+struct DiskTier {
+    prefix: &'static str,
+    produced_series: &'static str,
+    /// The chaos hook that may fail this tier's production transiently.
+    fault: Option<fn() -> Option<String>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    rejects: AtomicU64,
+    io_errors: AtomicU64,
+    produced: AtomicU64,
+    writes: AtomicU64,
+}
+
+impl DiskTier {
+    fn new(
+        prefix: &'static str,
+        produced_series: &'static str,
+        fault: Option<fn() -> Option<String>>,
+    ) -> DiskTier {
+        DiskTier {
+            prefix,
+            produced_series,
+            fault,
+            ..DiskTier::default()
+        }
+    }
+
+    fn count(&self, counter: &AtomicU64, series: &str) {
+        counter.fetch_add(1, Ordering::Relaxed);
+        m(&format!("{}{series}", self.prefix));
+    }
+}
+
+fn replay_err(e: impl fmt::Display) -> EngineError {
+    EngineError::Replay(e.to_string())
+}
+
+/// Replays each measured window of `plan` from its restored checkpoint,
+/// as independent jobs on `threads` pool workers.
+fn replay_windows<S: Sync, W: Send, E: fmt::Display + Send>(
+    core: &str,
+    plan: &PhasePlan,
+    snaps: &[S],
+    threads: usize,
+    replay: impl Fn(&trips_sample::PhaseWindow, &S) -> Result<W, E> + Sync,
+) -> Result<Vec<W>, EngineError> {
+    let _span = trips_obs::span_with("session.replay_windows", || {
+        format!("{core} n={}", snaps.len())
+    });
+    let jobs: Vec<_> = plan.windows.iter().copied().zip(snaps).collect();
+    crate::pool::parallel_map(jobs, threads, |(window, snap)| replay(&window, snap))
+        .into_iter()
+        .map(|res| res.map_err(replay_err))
+        .collect()
 }
 
 impl Session {
@@ -481,53 +649,18 @@ impl Session {
         }
     }
 
+    /// The worker count and plan of a replay the live-point tier serves:
+    /// the tier is on and `mode` is a phase plan that skips work.
+    fn live_plan<'m>(&self, mode: &'m ReplayMode) -> Option<(usize, &'m PhasePlan)> {
+        let plan = mode.phase().filter(|p| !p.covers_everything())?;
+        Some((self.live_points()?, plan))
+    }
+
     /// The process-wide session used by the experiment harness, so separate
     /// figures share compiles and captures.
     pub fn global() -> &'static Session {
         static GLOBAL: OnceLock<Session> = OnceLock::new();
         GLOBAL.get_or_init(Session::new)
-    }
-
-    fn slot<K: Clone + Eq + std::hash::Hash, T>(
-        map: &Mutex<HashMap<K, Slot<T>>>,
-        key: &K,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> Slot<T> {
-        let mut guard = map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(slot) = guard.get(key) {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(slot);
-        }
-        misses.fetch_add(1, Ordering::Relaxed);
-        let slot: Slot<T> = Arc::new(OnceLock::new());
-        guard.insert(key.clone(), Arc::clone(&slot));
-        slot
-    }
-
-    /// Transient failures must not poison the memo ("failures are cached
-    /// too" is for *deterministic* failures — a workload that cannot
-    /// compile fails every time; an injected I/O fault does not). The
-    /// slot is evicted so the next request re-resolves the artifact,
-    /// which is what makes sweep-level retries effective.
-    fn evict_transient<K: Clone + Eq + std::hash::Hash, T>(
-        map: &Mutex<HashMap<K, Slot<T>>>,
-        key: &K,
-        slot: &Slot<T>,
-        res: &Result<Arc<T>, EngineError>,
-    ) {
-        if matches!(res, Err(e) if e.is_transient()) {
-            let mut guard = map
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Only evict our own slot — a racing retry may already have
-            // installed a fresh one.
-            if guard.get(key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
-                guard.remove(key);
-            }
-        }
     }
 
     /// The disk tier, unless the store's circuit breaker has tripped —
@@ -544,6 +677,53 @@ impl Session {
         Some(store)
     }
 
+    /// The disk-tier sequence every persisted artifact shares. A
+    /// verified stored payload that also passes `deep` (validation
+    /// against what it is about to serve) stands in for `produce`; one
+    /// that fails `deep` is quarantined. Otherwise the tier's chaos hook
+    /// may fail the request transiently (`what` names it), `produce`
+    /// runs, and the fresh payload is written back.
+    fn resolve<I: ContainerId>(
+        &self,
+        tier: &DiskTier,
+        id: &I,
+        what: &str,
+        deep: impl FnOnce(&I::Payload) -> Result<(), &'static str>,
+        produce: impl FnOnce() -> Result<I::Payload, EngineError>,
+    ) -> Result<I::Payload, EngineError> {
+        if let Some(store) = self.healthy_store() {
+            match store.load(id) {
+                LoadOutcome::Hit(value) => match deep(&value) {
+                    Ok(()) => {
+                        tier.count(&tier.hits, "disk_hits");
+                        trips_obs::cost::set_tier("disk");
+                        return Ok(*value);
+                    }
+                    // Container-valid but foreign to what it would serve
+                    // (e.g. a stale build's capture): produce over it.
+                    Err(why) => {
+                        tier.count(&tier.rejects, "disk_rejects");
+                        store.quarantine(id, &format!("deep validation failed: {why}"));
+                    }
+                },
+                LoadOutcome::Miss => tier.count(&tier.misses, "disk_misses"),
+                LoadOutcome::Reject(_) => tier.count(&tier.rejects, "disk_rejects"),
+                LoadOutcome::IoError(_) => tier.count(&tier.io_errors, "disk_io_errors"),
+            }
+        }
+        if let Some(why) = tier.fault.and_then(|fault| fault()) {
+            return Err(EngineError::Transient(format!("{what}: {why}")));
+        }
+        tier.count(&tier.produced, tier.produced_series);
+        let value = produce()?;
+        if let Some(store) = self.healthy_store() {
+            if store.save(id, &value).is_ok() {
+                tier.count(&tier.writes, "store_writes");
+            }
+        }
+        Ok(value)
+    }
+
     /// Compiles `workload` (memoized). `hand` selects the hand-optimized IR
     /// variant, mirroring the paper's H bars.
     ///
@@ -556,32 +736,20 @@ impl Session {
         opts: &CompileOptions,
         hand: bool,
     ) -> Result<Arc<CompiledProgram>, EngineError> {
-        let key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        };
-        let slot = Self::slot(
-            &self.compiled,
-            &key,
-            &self.compile_hits,
-            &self.compile_misses,
-        );
-        slot.get_or_init(|| {
-            let _span = trips_obs::span_with("session.compile", || w.name.to_string());
-            let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
-            m("session_compiles_total{side=\"trips\"}");
-            let program = if hand {
-                w.build_hand(scale)
-            } else {
-                (w.build)(scale)
-            };
-            trips_compiler::compile(&program, opts)
-                .map(Arc::new)
-                .map_err(|e| EngineError::Compile(format!("{}: {e}", w.name)))
-        })
-        .clone()
+        self.compiled
+            .get(&CompileKey::new(w, scale, opts, hand), || {
+                let _span = trips_obs::span_with("session.compile", || w.name.to_string());
+                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                m("session_compiles_total{side=\"trips\"}");
+                let program = if hand {
+                    w.build_hand(scale)
+                } else {
+                    (w.build)(scale)
+                };
+                trips_compiler::compile(&program, opts)
+                    .map(Arc::new)
+                    .map_err(|e| EngineError::Compile(format!("{}: {e}", w.name)))
+            })
     }
 
     /// Captures (memoized) the functional trace of `workload` compiled with
@@ -598,69 +766,16 @@ impl Session {
         mem: usize,
         budget: u64,
     ) -> Result<Arc<TraceLog>, EngineError> {
-        let compile_key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        };
-        let key = TraceKey {
-            compile: compile_key,
-            mem,
-            budget,
-        };
-        let slot = Self::slot(&self.traces, &key, &self.trace_hits, &self.trace_misses);
+        let key = TraceKey::new(w, scale, opts, hand, mem, budget);
         trips_obs::cost::set_tier("mem");
-        let res = slot
-            .get_or_init(|| {
-                let compiled = self.compiled(w, scale, opts, hand)?;
-                let id = TraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    hand,
-                    code_sig: code_sig(&compiled),
-                    mem_size: mem as u64,
-                    max_blocks: budget,
-                };
-                // Disk tier: a verified stored capture stands in for a fresh one.
-                if let Some(store) = self.healthy_store() {
-                    match store.load(&id) {
-                        LoadOutcome::Hit(log) => {
-                            if log.validate(&compiled.trips).is_ok() {
-                                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                                m("session_disk_hits");
-                                trips_obs::cost::set_tier("disk");
-                                return Ok(Arc::new(*log));
-                            }
-                            // Container-valid but structurally foreign (e.g. a
-                            // stale build's capture): recapture over it.
-                            self.disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_rejects");
-                            store.quarantine(
-                                &id,
-                                "deep validation failed: log does not match the compiled program",
-                            );
-                        }
-                        LoadOutcome::Miss => {
-                            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_misses");
-                        }
-                        LoadOutcome::Reject(_) => {
-                            self.disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_rejects");
-                        }
-                        LoadOutcome::IoError(_) => {
-                            self.disk_io_errors.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_io_errors");
-                        }
-                    }
-                }
-                if let Some(why) = trips_chaos::capture_fault() {
-                    return Err(EngineError::Transient(format!("{}: {why}", w.name)));
-                }
-                self.captures.fetch_add(1, Ordering::Relaxed);
-                m("session_captures");
+        self.traces.get(&key, || {
+            let compiled = self.compiled(w, scale, opts, hand)?;
+            let id = key.trace_id(&compiled);
+            let deep = |log: &TraceLog| {
+                log.validate(&compiled.trips)
+                    .map_err(|_| "log does not match the compiled program")
+            };
+            self.resolve(&self.trace_tier, &id, w.name, deep, || {
                 trips_obs::cost::set_tier("capture");
                 let _span = trips_obs::span_with("session.capture_trace", || w.name.to_string());
                 let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
@@ -669,19 +784,11 @@ impl Session {
                     scale: id.scale.clone(),
                     opts_sig: id.opts_sig,
                 };
-                let log = TraceLog::capture(&compiled.trips, &compiled.opt_ir, mem, budget, meta)
-                    .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))?;
-                if let Some(store) = self.healthy_store() {
-                    if store.save(&id, &log).is_ok() {
-                        self.store_writes.fetch_add(1, Ordering::Relaxed);
-                        m("session_store_writes");
-                    }
-                }
-                Ok(Arc::new(log))
+                TraceLog::capture(&compiled.trips, &compiled.opt_ir, mem, budget, meta)
+                    .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))
             })
-            .clone();
-        Self::evict_transient(&self.traces, &key, &slot, &res);
-        res
+            .map(Arc::new)
+        })
     }
 
     /// Runs (memoized) the functional interpreter for ISA-level statistics
@@ -699,20 +806,9 @@ impl Session {
         mem: usize,
         budget: u64,
     ) -> Result<Arc<IsaOutcome>, EngineError> {
-        let compile_key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        };
-        let key = TraceKey {
-            compile: compile_key,
-            mem,
-            budget,
-        };
-        let slot = Self::slot(&self.isa, &key, &self.isa_hits, &self.isa_misses);
+        let key = TraceKey::new(w, scale, opts, hand, mem, budget);
         trips_obs::cost::set_tier("mem");
-        slot.get_or_init(|| {
+        self.isa.get(&key, || {
             let compiled = self.compiled(w, scale, opts, hand)?;
             trips_obs::cost::set_tier("capture");
             let _span = trips_obs::span_with("session.capture_isa", || w.name.to_string());
@@ -727,7 +823,6 @@ impl Session {
                 })
                 .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))
         })
-        .clone()
     }
 
     /// Builds (memoized) the RISC-side program: IR built, optimized with
@@ -742,14 +837,7 @@ impl Session {
         scale: Scale,
         opts: &CompileOptions,
     ) -> Result<Arc<RiscArtifacts>, EngineError> {
-        let key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand: false,
-        };
-        let slot = Self::slot(&self.risc, &key, &self.risc_hits, &self.risc_misses);
-        slot.get_or_init(|| {
+        self.risc.get(&CompileKey::new(w, scale, opts, false), || {
             let _span = trips_obs::span_with("session.compile", || format!("{} (risc)", w.name));
             let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
             m("session_compiles_total{side=\"risc\"}");
@@ -759,7 +847,6 @@ impl Session {
                 .map(|program| Arc::new(RiscArtifacts { program, ir }))
                 .map_err(|e| EngineError::Compile(format!("{} (risc): {e}", w.name)))
         })
-        .clone()
     }
 
     /// Captures (memoized) the RISC event stream of `workload` built with
@@ -781,65 +868,18 @@ impl Session {
         mem: usize,
         budget: u64,
     ) -> Result<Arc<RiscTrace>, EngineError> {
-        let key = TraceKey {
-            compile: CompileKey {
-                workload: w.name.to_string(),
-                scale: scale_label(scale),
-                opts: opts_sig(opts),
-                hand: false,
-            },
-            mem,
-            budget,
-        };
-        let slot = Self::slot(&self.rtraces, &key, &self.rtrace_hits, &self.rtrace_misses);
+        let key = TraceKey::new(w, scale, opts, false, mem, budget);
         trips_obs::cost::set_tier("mem");
-        let res = slot
-            .get_or_init(|| {
-                let art = self.risc_program(w, scale, opts)?;
-                let id = RiscTraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    code_sig: risc_code_sig(&art),
-                    mem_size: mem as u64,
-                    max_steps: budget,
-                };
-                // Disk tier: a verified stored stream stands in for a fresh
-                // execution.
-                if let Some(store) = self.healthy_store() {
-                    match store.load_risc(&id) {
-                        LoadOutcome::Hit(trace) => {
-                            if trace.validate(&art.program).is_ok() {
-                                self.risc_disk_hits.fetch_add(1, Ordering::Relaxed);
-                                m("session_risc_disk_hits");
-                                trips_obs::cost::set_tier("disk");
-                                return Ok(Arc::new(*trace));
-                            }
-                            // Container-valid but structurally foreign (e.g. a
-                            // stale build's capture): recapture over it.
-                            self.risc_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_risc_disk_rejects");
-                            store.quarantine_risc(&id, "deep validation failed: stream does not match the compiled program");
-                        }
-                        LoadOutcome::Miss => {
-                            self.risc_disk_misses.fetch_add(1, Ordering::Relaxed);
-                            m("session_risc_disk_misses");
-                        }
-                        LoadOutcome::Reject(_) => {
-                            self.risc_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_risc_disk_rejects");
-                        }
-                        LoadOutcome::IoError(_) => {
-                            self.risc_disk_io_errors.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_io_errors");
-                        }
-                    }
-                }
-                if let Some(why) = trips_chaos::capture_fault() {
-                    return Err(EngineError::Transient(format!("{} (risc): {why}", w.name)));
-                }
-                self.risc_captures.fetch_add(1, Ordering::Relaxed);
-                m("session_risc_captures");
+        self.rtraces.get(&key, || {
+            let art = self.risc_program(w, scale, opts)?;
+            let id = key.risc_trace_id(&art);
+            let deep = |trace: &RiscTrace| {
+                trace
+                    .validate(&art.program)
+                    .map_err(|_| "stream does not match the compiled program")
+            };
+            let what = format!("{} (risc)", w.name);
+            self.resolve(&self.risc_tier, &id, &what, deep, || {
                 trips_obs::cost::set_tier("capture");
                 let _span = trips_obs::span_with("session.capture_risc", || w.name.to_string());
                 let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
@@ -848,19 +888,11 @@ impl Session {
                     scale: id.scale.clone(),
                     opts_sig: id.opts_sig,
                 };
-                let trace = RiscTrace::capture(&art.program, &art.ir, mem, budget, meta)
-                    .map_err(|e| EngineError::Capture(format!("{} (risc): {e}", w.name)))?;
-                if let Some(store) = self.healthy_store() {
-                    if store.save_risc(&id, &trace).is_ok() {
-                        self.risc_store_writes.fetch_add(1, Ordering::Relaxed);
-                        m("session_risc_store_writes");
-                    }
-                }
-                Ok(Arc::new(trace))
+                RiscTrace::capture(&art.program, &art.ir, mem, budget, meta)
+                    .map_err(|e| EngineError::Capture(format!("{what}: {e}")))
             })
-            .clone();
-        Self::evict_transient(&self.rtraces, &key, &slot, &res);
-        res
+            .map(Arc::new)
+        })
     }
 
     /// The fitted phase plan for a workload's TRIPS block-trace stream
@@ -886,42 +918,18 @@ impl Session {
         spec: &PhaseSpec,
     ) -> Result<Arc<PhasePlan>, EngineError> {
         let key = PhaseKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, hand, mem, budget),
             risc: false,
             spec: *spec,
         };
-        let slot = Self::slot(&self.phases, &key, &self.phase_hits, &self.phase_misses);
-        let res = slot
-            .get_or_init(|| {
-                let compiled = self.compiled(w, scale, opts, hand)?;
-                let log = self.trace(w, scale, opts, hand, mem, budget)?;
-                let seed = TraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    hand,
-                    code_sig: code_sig(&compiled),
-                    mem_size: mem as u64,
-                    max_blocks: budget,
-                }
-                .stable_hash();
-                let total = log.seq.len() as u64;
-                self.fit_phase(seed, total, spec, || {
-                    Ok(trips_phase::trips_fit(&log, spec, seed))
-                })
+        self.phases.get(&key, || {
+            let compiled = self.compiled(w, scale, opts, hand)?;
+            let log = self.trace(w, scale, opts, hand, mem, budget)?;
+            let seed = key.trace.trace_id(&compiled).stable_hash();
+            self.fit_phase(seed, log.seq.len() as u64, spec, || {
+                Ok(trips_phase::trips_fit(&log, spec, seed))
             })
-            .clone();
-        Self::evict_transient(&self.phases, &key, &slot, &res);
-        res
+        })
     }
 
     /// The RISC-side counterpart of [`Session::trips_phase_plan`]: the
@@ -941,48 +949,24 @@ impl Session {
         spec: &PhaseSpec,
     ) -> Result<Arc<PhasePlan>, EngineError> {
         let key = PhaseKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand: false,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, false, mem, budget),
             risc: true,
             spec: *spec,
         };
-        let slot = Self::slot(&self.phases, &key, &self.phase_hits, &self.phase_misses);
-        let res = slot
-            .get_or_init(|| {
-                let art = self.risc_program(w, scale, opts)?;
-                let trace = self.risc_trace(w, scale, opts, mem, budget)?;
-                let seed = RiscTraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    code_sig: risc_code_sig(&art),
-                    mem_size: mem as u64,
-                    max_steps: budget,
-                }
-                .stable_hash();
-                let total = trace.header.dynamic_insts;
-                self.fit_phase(seed, total, spec, || {
-                    trips_phase::risc_fit(&trace, &art.program, spec, seed)
-                        .map_err(|e| EngineError::Capture(format!("{} (phase): {e}", w.name)))
-                })
+        self.phases.get(&key, || {
+            let art = self.risc_program(w, scale, opts)?;
+            let trace = self.risc_trace(w, scale, opts, mem, budget)?;
+            let seed = key.trace.risc_trace_id(&art).stable_hash();
+            self.fit_phase(seed, trace.header.dynamic_insts, spec, || {
+                trips_phase::risc_fit(&trace, &art.program, spec, seed)
+                    .map_err(|e| EngineError::Capture(format!("{} (phase): {e}", w.name)))
             })
-            .clone();
-        Self::evict_transient(&self.phases, &key, &slot, &res);
-        res
+        })
     }
 
-    /// The disk-tier choreography both phase tiers share: consult the
-    /// store under the parent key, validate a hit against the spec and
-    /// stream extent (rejecting and re-fitting stale artifacts), and
-    /// persist fresh fits.
+    /// The phase tier both plan kinds share: the stored artifact under
+    /// the parent key serves if it fits `spec` and the stream extent;
+    /// otherwise `fit` runs and its artifact is persisted.
     fn fit_phase(
         &self,
         parent_key: u64,
@@ -1000,117 +984,80 @@ impl Session {
             boundary: spec.boundary,
             tail: spec.tail,
         };
-        if let Some(store) = self.healthy_store() {
-            match store.load_bbv(&id) {
-                LoadOutcome::Hit(art) => {
-                    if art.validate(spec, total_units).is_ok() {
-                        self.phase_disk_hits.fetch_add(1, Ordering::Relaxed);
-                        m("session_phase_disk_hits");
-                        trips_obs::cost::set_tier("disk");
-                        return Ok(Arc::new(art.plan));
-                    }
-                    // Container-valid but fitted to a different stream
-                    // (e.g. a stale build's capture): re-cluster over it.
-                    self.phase_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                    m("session_phase_disk_rejects");
-                    store.quarantine_bbv(
-                        &id,
-                        "deep validation failed: artifact fitted to a different stream",
-                    );
-                }
-                LoadOutcome::Miss => {
-                    self.phase_disk_misses.fetch_add(1, Ordering::Relaxed);
-                    m("session_phase_disk_misses");
-                }
-                LoadOutcome::Reject(_) => {
-                    self.phase_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                    m("session_phase_disk_rejects");
-                }
-                LoadOutcome::IoError(_) => {
-                    self.phase_disk_io_errors.fetch_add(1, Ordering::Relaxed);
-                    m("session_disk_io_errors");
-                }
-            }
-        }
-        if let Some(why) = trips_chaos::fit_fault() {
-            return Err(EngineError::Transient(format!("phase fit: {why}")));
-        }
-        self.phase_fits.fetch_add(1, Ordering::Relaxed);
-        m("session_phase_fits");
-        let art = {
+        let deep = |art: &PhaseArtifact| {
+            art.validate(spec, total_units)
+                .map_err(|_| "artifact fitted to a different stream")
+        };
+        self.resolve(&self.phase_tier, &id, "phase fit", deep, || {
             let _span = trips_obs::span("session.fit_phase");
             let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Fit);
-            fit()?
+            fit()
+        })
+        .map(|art| Arc::new(art.plan))
+    }
+
+    /// The live-point tier both timing cores share: resolves the
+    /// checkpoint set for one phased replay memo → store → capture. A
+    /// stored set must have the right shape for `plan` (core variant,
+    /// stream extent, window count) or it is quarantined and recaptured.
+    /// `capture` is the sequential phased replay that doubles as the
+    /// checkpoint pass; its result comes back as `Some` so nothing runs
+    /// twice.
+    fn live_point_set<R>(
+        &self,
+        parent_key: u64,
+        plan: &PhasePlan,
+        cfg_sig: u64,
+        core: u32,
+        label: impl FnOnce() -> String,
+        capture: impl FnOnce() -> Result<(R, LivePointStates), EngineError>,
+    ) -> Result<(Arc<LivePointSet>, Option<R>), EngineError> {
+        let id = LivePointId {
+            parent_key,
+            plan_sig: plan_sig(plan),
+            cfg_sig,
+            core,
         };
-        if let Some(store) = self.healthy_store() {
-            if store.save_bbv(&id, &art).is_ok() {
-                self.phase_store_writes.fetch_add(1, Ordering::Relaxed);
-                m("session_phase_store_writes");
+        let deep = |set: &LivePointSet| {
+            let right_core = match &set.states {
+                LivePointStates::Trips(_) => core == KIND_BLOCK_TRACE,
+                LivePointStates::Ooo(_) => core == KIND_RISC_TRACE,
+            };
+            if right_core
+                && set.total_units == plan.total_units
+                && set.states.len() == plan.windows.len()
+            {
+                Ok(())
+            } else {
+                Err("wrong shape for the plan")
             }
-        }
-        Ok(Arc::new(art.plan))
+        };
+        let mut fresh = None;
+        let set = self.livepoints.get(&id, || {
+            self.resolve(&self.livepoint_tier, &id, "live-points", deep, || {
+                trips_obs::cost::set_tier("capture");
+                let _span = trips_obs::span_with("session.capture_livepoints", label);
+                let (res, states) = capture()?;
+                fresh = Some(res);
+                Ok(LivePointSet {
+                    parent_key,
+                    plan_sig: id.plan_sig,
+                    cfg_sig,
+                    core,
+                    total_units: plan.total_units,
+                    states,
+                })
+            })
+            .map(Arc::new)
+        })?;
+        Ok((set, fresh))
     }
 
-    /// Disk tier of the live-point choreography: a verified stored set
-    /// whose shape can seed `plan` stands in for a capture pass. Sets of
-    /// the wrong shape (window count, stream extent, or core variant) are
-    /// rejected and deleted so the caller recaptures over them.
-    fn load_live_points(&self, id: &LivePointId, plan: &PhasePlan) -> Option<LivePointSet> {
-        let store = self.healthy_store()?;
-        match store.load_livepoint(id) {
-            LoadOutcome::Hit(set) => {
-                let right_core = match &set.states {
-                    LivePointStates::Trips(_) => id.core == KIND_BLOCK_TRACE,
-                    LivePointStates::Ooo(_) => id.core == KIND_RISC_TRACE,
-                };
-                if right_core
-                    && set.total_units == plan.total_units
-                    && set.states.len() == plan.windows.len()
-                {
-                    self.livepoint_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    m("session_livepoint_disk_hits");
-                    trips_obs::cost::set_tier("disk");
-                    return Some(*set);
-                }
-                self.livepoint_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_disk_rejects");
-                store.quarantine_livepoint(id, "deep validation failed: wrong shape for the plan");
-            }
-            LoadOutcome::Miss => {
-                self.livepoint_disk_misses.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_disk_misses");
-            }
-            LoadOutcome::Reject(_) => {
-                self.livepoint_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_disk_rejects");
-            }
-            LoadOutcome::IoError(_) => {
-                self.livepoint_disk_io_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                m("session_disk_io_errors");
-            }
-        }
-        None
-    }
-
-    /// Persists a fresh checkpoint set, counting the write.
-    fn save_live_points(&self, id: &LivePointId, set: &LivePointSet) {
-        if let Some(store) = self.healthy_store() {
-            if store.save_livepoint(id, set).is_ok() {
-                self.livepoint_store_writes.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_store_writes");
-            }
-        }
-    }
-
-    /// The live-point tier for one TRIPS phased replay. Resolves the
-    /// checkpoint set memo → store → capture; a capture pass *is* a
-    /// sequential phased replay, so its result is returned directly and
-    /// nothing runs twice. With a resolved set, each measured window
-    /// replays from its restored state as an independent pool job and the
-    /// per-window measurements assemble into the same estimate the
-    /// sequential replay produces (bit-identical; see
-    /// `trips_sim::timing`'s live-point tests).
+    /// The live-point tier for one TRIPS phased replay. With a resolved
+    /// set, each measured window replays from its restored state as an
+    /// independent pool job and the per-window measurements assemble into
+    /// the same estimate the sequential replay produces (bit-identical;
+    /// see `trips_sim::timing`'s live-point tests).
     fn replay_trips_live(
         &self,
         compiled: &CompiledProgram,
@@ -1120,73 +1067,29 @@ impl Session {
         parent_key: u64,
         threads: usize,
     ) -> Result<trips_sim::SimResult, EngineError> {
-        let id = LivePointId {
-            parent_key,
-            plan_sig: plan_sig(plan),
-            cfg_sig: trips_cfg_sig(cfg),
-            core: KIND_BLOCK_TRACE,
-        };
-        let slot = Self::slot(
-            &self.livepoints,
-            &id,
-            &self.livepoint_hits,
-            &self.livepoint_misses,
-        );
-        let mut fresh: Option<trips_sim::SimResult> = None;
-        let set = slot
-            .get_or_init(|| {
-                if let Some(set) = self.load_live_points(&id, plan) {
-                    return Ok(Arc::new(set));
-                }
-                self.livepoint_captures.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_captures");
-                trips_obs::cost::set_tier("capture");
-                let _span = trips_obs::span_with("session.capture_livepoints", || {
-                    format!("trips cfg={:016x}", id.cfg_sig)
-                });
-                let (res, snaps) =
-                    trips_sim::timing::replay_trace_phased_capture(compiled, cfg, log, plan)
-                        .map_err(|e| EngineError::Replay(e.to_string()))?;
-                fresh = Some(res);
-                let set = LivePointSet {
-                    parent_key: id.parent_key,
-                    plan_sig: id.plan_sig,
-                    cfg_sig: id.cfg_sig,
-                    core: id.core,
-                    total_units: plan.total_units,
-                    states: LivePointStates::Trips(snaps),
-                };
-                self.save_live_points(&id, &set);
-                Ok(Arc::new(set))
-            })
-            .clone()?;
+        let cfg_sig = trips_cfg_sig(cfg);
+        let label = || format!("trips cfg={cfg_sig:016x}");
+        let (set, fresh) =
+            self.live_point_set(parent_key, plan, cfg_sig, KIND_BLOCK_TRACE, label, || {
+                trips_sim::timing::replay_trace_phased_capture(compiled, cfg, log, plan)
+                    .map(|(res, snaps)| (res, LivePointStates::Trips(snaps)))
+                    .map_err(replay_err)
+            })?;
         if let Some(res) = fresh {
             return Ok(res);
         }
         let LivePointStates::Trips(snaps) = &set.states else {
-            return Err(EngineError::Replay(
-                "live-point set holds foreign-core state".into(),
-            ));
+            return Err(replay_err("live-point set holds foreign-core state"));
         };
-        let _span = trips_obs::span_with("session.replay_windows", || {
-            format!("trips n={}", snaps.len())
-        });
-        let jobs: Vec<(trips_sample::PhaseWindow, &trips_sim::TsimSnapshot)> =
-            plan.windows.iter().copied().zip(snaps.iter()).collect();
-        let measures = crate::pool::parallel_map(jobs, threads, |(window, snap)| {
-            trips_sim::replay_trips_window(compiled, cfg, log, &window, snap)
-        });
-        let mut windows = Vec::with_capacity(measures.len());
-        for res in measures {
-            windows.push(res.map_err(|e| EngineError::Replay(e.to_string()))?);
-        }
-        trips_sim::assemble_trips_phased(log, plan, &windows)
-            .map_err(|e| EngineError::Replay(e.to_string()))
+        let windows = replay_windows("trips", plan, snaps, threads, |window, snap| {
+            trips_sim::replay_trips_window(compiled, cfg, log, window, snap)
+        })?;
+        trips_sim::assemble_trips_phased(log, plan, &windows).map_err(replay_err)
     }
 
-    /// The out-of-order counterpart of [`Session::replay_trips_live`]:
-    /// same memo → store → capture choreography over the recorded RISC
-    /// stream, shared by every reference-platform configuration.
+    /// The out-of-order counterpart of [`Session::replay_trips_live`],
+    /// over the recorded RISC stream shared by every reference-platform
+    /// configuration.
     fn replay_ooo_live(
         &self,
         rp: &trips_risc::RProgram,
@@ -1196,67 +1099,24 @@ impl Session {
         parent_key: u64,
         threads: usize,
     ) -> Result<trips_ooo::OooResult, EngineError> {
-        let id = LivePointId {
-            parent_key,
-            plan_sig: plan_sig(plan),
-            cfg_sig: ooo_cfg_sig(cfg),
-            core: KIND_RISC_TRACE,
-        };
-        let slot = Self::slot(
-            &self.livepoints,
-            &id,
-            &self.livepoint_hits,
-            &self.livepoint_misses,
-        );
-        let mut fresh: Option<trips_ooo::OooResult> = None;
-        let set = slot
-            .get_or_init(|| {
-                if let Some(set) = self.load_live_points(&id, plan) {
-                    return Ok(Arc::new(set));
-                }
-                self.livepoint_captures.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_captures");
-                trips_obs::cost::set_tier("capture");
-                let _span = trips_obs::span_with("session.capture_livepoints", || {
-                    format!("{} cfg={:016x}", cfg.name, id.cfg_sig)
-                });
-                let (res, snaps) = trips_ooo::run_ooo_phased_capture(rp, trace, cfg, plan)
-                    .map_err(|e| EngineError::Replay(e.to_string()))?;
-                fresh = Some(res);
-                let set = LivePointSet {
-                    parent_key: id.parent_key,
-                    plan_sig: id.plan_sig,
-                    cfg_sig: id.cfg_sig,
-                    core: id.core,
-                    total_units: plan.total_units,
-                    states: LivePointStates::Ooo(snaps),
-                };
-                self.save_live_points(&id, &set);
-                Ok(Arc::new(set))
-            })
-            .clone()?;
+        let cfg_sig = ooo_cfg_sig(cfg);
+        let label = || format!("{} cfg={cfg_sig:016x}", cfg.name);
+        let (set, fresh) =
+            self.live_point_set(parent_key, plan, cfg_sig, KIND_RISC_TRACE, label, || {
+                trips_ooo::run_ooo_phased_capture(rp, trace, cfg, plan)
+                    .map(|(res, snaps)| (res, LivePointStates::Ooo(snaps)))
+                    .map_err(replay_err)
+            })?;
         if let Some(res) = fresh {
             return Ok(res);
         }
         let LivePointStates::Ooo(snaps) = &set.states else {
-            return Err(EngineError::Replay(
-                "live-point set holds foreign-core state".into(),
-            ));
+            return Err(replay_err("live-point set holds foreign-core state"));
         };
-        let _span = trips_obs::span_with("session.replay_windows", || {
-            format!("ooo n={}", snaps.len())
-        });
-        let jobs: Vec<(trips_sample::PhaseWindow, &trips_ooo::OooSnapshot)> =
-            plan.windows.iter().copied().zip(snaps.iter()).collect();
-        let measures = crate::pool::parallel_map(jobs, threads, |(window, snap)| {
-            trips_ooo::replay_ooo_window(rp, trace, cfg, &window, snap)
-        });
-        let mut windows = Vec::with_capacity(measures.len());
-        for res in measures {
-            windows.push(res.map_err(|e| EngineError::Replay(e.to_string()))?);
-        }
-        trips_ooo::assemble_ooo_phased(trace, plan, &windows)
-            .map_err(|e| EngineError::Replay(e.to_string()))
+        let windows = replay_windows("ooo", plan, snaps, threads, |window, snap| {
+            trips_ooo::replay_ooo_window(rp, trace, cfg, window, snap)
+        })?;
+        trips_ooo::assemble_ooo_phased(trace, plan, &windows).map_err(replay_err)
     }
 
     /// Times one out-of-order configuration by replaying the (memoized)
@@ -1280,62 +1140,31 @@ impl Session {
         mode: &ReplayMode,
     ) -> Result<Arc<trips_ooo::OooResult>, EngineError> {
         let key = ReplayKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand: false,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, false, mem, budget),
             cfg: ooo_cfg_sig(cfg),
             mode: ModeKey::of(mode),
         };
-        let slot = Self::slot(
-            &self.ooo_replays,
-            &key,
-            &self.ooo_replay_hits,
-            &self.ooo_replay_misses,
-        );
         trips_obs::cost::set_tier("memo");
-        let res = slot
-            .get_or_init(|| {
-                let art = self.risc_program(w, scale, opts)?;
-                let trace = self.risc_trace(w, scale, opts, mem, budget)?;
-                let _span = trips_obs::span_with("session.replay_ooo", || {
-                    format!("{} {}", w.name, cfg.name)
-                });
-                if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
-                    if !plan.covers_everything() {
-                        let parent_key = RiscTraceId {
-                            workload: w.name.to_string(),
-                            scale: scale_label(scale).to_string(),
-                            opts_sig: opts_sig(opts),
-                            code_sig: risc_code_sig(&art),
-                            mem_size: mem as u64,
-                            max_steps: budget,
-                        }
-                        .stable_hash();
-                        return self
-                            .replay_ooo_live(&art.program, &trace, cfg, plan, parent_key, threads)
-                            .map(Arc::new)
-                            .map_err(|e| match e {
-                                EngineError::Replay(msg) => {
-                                    EngineError::Replay(format!("{} ({}): {msg}", w.name, cfg.name))
-                                }
-                                other => other,
-                            });
-                    }
+        self.ooo_replays.get(&key, || {
+            let art = self.risc_program(w, scale, opts)?;
+            let trace = self.risc_trace(w, scale, opts, mem, budget)?;
+            let _span =
+                trips_obs::span_with("session.replay_ooo", || format!("{} {}", w.name, cfg.name));
+            let res = match self.live_plan(mode) {
+                Some((threads, plan)) => {
+                    let parent_key = key.trace.risc_trace_id(&art).stable_hash();
+                    self.replay_ooo_live(&art.program, &trace, cfg, plan, parent_key, threads)
                 }
-                trips_ooo::run_timed_trace_mode(&art.program, &trace, cfg, mode)
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Replay(format!("{} ({}): {e}", w.name, cfg.name)))
+                None => trips_ooo::run_timed_trace_mode(&art.program, &trace, cfg, mode)
+                    .map_err(replay_err),
+            };
+            res.map(Arc::new).map_err(|e| match e {
+                EngineError::Replay(msg) => {
+                    EngineError::Replay(format!("{} ({}): {msg}", w.name, cfg.name))
+                }
+                other => other,
             })
-            .clone();
-        Self::evict_transient(&self.ooo_replays, &key, &slot, &res);
-        res
+        })
     }
 
     /// Replays the (memoized) trace against one timing configuration: the
@@ -1357,100 +1186,82 @@ impl Session {
         mode: &ReplayMode,
     ) -> Result<Arc<trips_sim::SimResult>, EngineError> {
         let key = ReplayKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, hand, mem, budget),
             cfg: trips_cfg_sig(cfg),
             mode: ModeKey::of(mode),
         };
-        let slot = Self::slot(&self.replays, &key, &self.replay_hits, &self.replay_misses);
         trips_obs::cost::set_tier("memo");
-        let res = slot
-            .get_or_init(|| {
-                let compiled = self.compiled(w, scale, opts, hand)?;
-                let log = self.trace(w, scale, opts, hand, mem, budget)?;
-                let _span = trips_obs::span_with("session.replay_trips", || {
-                    format!("{} cfg={:016x}", w.name, trips_cfg_sig(cfg))
-                });
-                if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
-                    if !plan.covers_everything() {
-                        let parent_key = TraceId {
-                            workload: w.name.to_string(),
-                            scale: scale_label(scale).to_string(),
-                            opts_sig: opts_sig(opts),
-                            hand,
-                            code_sig: code_sig(&compiled),
-                            mem_size: mem as u64,
-                            max_blocks: budget,
-                        }
-                        .stable_hash();
-                        return self
-                            .replay_trips_live(&compiled, &log, cfg, plan, parent_key, threads)
-                            .map(Arc::new);
-                    }
+        self.replays.get(&key, || {
+            let compiled = self.compiled(w, scale, opts, hand)?;
+            let log = self.trace(w, scale, opts, hand, mem, budget)?;
+            let _span = trips_obs::span_with("session.replay_trips", || {
+                format!("{} cfg={:016x}", w.name, key.cfg)
+            });
+            match self.live_plan(mode) {
+                Some((threads, plan)) => {
+                    let parent_key = key.trace.trace_id(&compiled).stable_hash();
+                    self.replay_trips_live(&compiled, &log, cfg, plan, parent_key, threads)
                 }
-                trips_sim::timing::replay_trace_mode(&compiled, cfg, &log, mode)
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Replay(e.to_string()))
-            })
-            .clone();
-        Self::evict_transient(&self.replays, &key, &slot, &res);
-        res
+                None => trips_sim::timing::replay_trace_mode(&compiled, cfg, &log, mode)
+                    .map_err(replay_err),
+            }
+            .map(Arc::new)
+        })
     }
 
     /// Current hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
+        let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (t, r, p, l) = (
+            &self.trace_tier,
+            &self.risc_tier,
+            &self.phase_tier,
+            &self.livepoint_tier,
+        );
         CacheStats {
-            compile_hits: self.compile_hits.load(Ordering::Relaxed),
-            compile_misses: self.compile_misses.load(Ordering::Relaxed),
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            isa_hits: self.isa_hits.load(Ordering::Relaxed),
-            isa_misses: self.isa_misses.load(Ordering::Relaxed),
-            risc_hits: self.risc_hits.load(Ordering::Relaxed),
-            risc_misses: self.risc_misses.load(Ordering::Relaxed),
-            captures: self.captures.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            disk_rejects: self.disk_rejects.load(Ordering::Relaxed),
-            store_writes: self.store_writes.load(Ordering::Relaxed),
-            rtrace_hits: self.rtrace_hits.load(Ordering::Relaxed),
-            rtrace_misses: self.rtrace_misses.load(Ordering::Relaxed),
-            risc_captures: self.risc_captures.load(Ordering::Relaxed),
-            risc_disk_hits: self.risc_disk_hits.load(Ordering::Relaxed),
-            risc_disk_misses: self.risc_disk_misses.load(Ordering::Relaxed),
-            risc_disk_rejects: self.risc_disk_rejects.load(Ordering::Relaxed),
-            risc_store_writes: self.risc_store_writes.load(Ordering::Relaxed),
-            phase_hits: self.phase_hits.load(Ordering::Relaxed),
-            phase_misses: self.phase_misses.load(Ordering::Relaxed),
-            phase_fits: self.phase_fits.load(Ordering::Relaxed),
-            phase_disk_hits: self.phase_disk_hits.load(Ordering::Relaxed),
-            phase_disk_misses: self.phase_disk_misses.load(Ordering::Relaxed),
-            phase_disk_rejects: self.phase_disk_rejects.load(Ordering::Relaxed),
-            phase_store_writes: self.phase_store_writes.load(Ordering::Relaxed),
-            livepoint_hits: self.livepoint_hits.load(Ordering::Relaxed),
-            livepoint_misses: self.livepoint_misses.load(Ordering::Relaxed),
-            livepoint_captures: self.livepoint_captures.load(Ordering::Relaxed),
-            livepoint_disk_hits: self.livepoint_disk_hits.load(Ordering::Relaxed),
-            livepoint_disk_misses: self.livepoint_disk_misses.load(Ordering::Relaxed),
-            livepoint_disk_rejects: self.livepoint_disk_rejects.load(Ordering::Relaxed),
-            livepoint_store_writes: self.livepoint_store_writes.load(Ordering::Relaxed),
-            replay_hits: self.replay_hits.load(Ordering::Relaxed),
-            replay_misses: self.replay_misses.load(Ordering::Relaxed),
-            ooo_replay_hits: self.ooo_replay_hits.load(Ordering::Relaxed),
-            ooo_replay_misses: self.ooo_replay_misses.load(Ordering::Relaxed),
-            disk_io_errors: self.disk_io_errors.load(Ordering::Relaxed),
-            risc_disk_io_errors: self.risc_disk_io_errors.load(Ordering::Relaxed),
-            phase_disk_io_errors: self.phase_disk_io_errors.load(Ordering::Relaxed),
-            livepoint_disk_io_errors: self.livepoint_disk_io_errors.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
+            compile_hits: n(&self.compiled.hits),
+            compile_misses: n(&self.compiled.misses),
+            trace_hits: n(&self.traces.hits),
+            trace_misses: n(&self.traces.misses),
+            isa_hits: n(&self.isa.hits),
+            isa_misses: n(&self.isa.misses),
+            risc_hits: n(&self.risc.hits),
+            risc_misses: n(&self.risc.misses),
+            captures: n(&t.produced),
+            disk_hits: n(&t.hits),
+            disk_misses: n(&t.misses),
+            disk_rejects: n(&t.rejects),
+            store_writes: n(&t.writes),
+            rtrace_hits: n(&self.rtraces.hits),
+            rtrace_misses: n(&self.rtraces.misses),
+            risc_captures: n(&r.produced),
+            risc_disk_hits: n(&r.hits),
+            risc_disk_misses: n(&r.misses),
+            risc_disk_rejects: n(&r.rejects),
+            risc_store_writes: n(&r.writes),
+            phase_hits: n(&self.phases.hits),
+            phase_misses: n(&self.phases.misses),
+            phase_fits: n(&p.produced),
+            phase_disk_hits: n(&p.hits),
+            phase_disk_misses: n(&p.misses),
+            phase_disk_rejects: n(&p.rejects),
+            phase_store_writes: n(&p.writes),
+            livepoint_hits: n(&self.livepoints.hits),
+            livepoint_misses: n(&self.livepoints.misses),
+            livepoint_captures: n(&l.produced),
+            livepoint_disk_hits: n(&l.hits),
+            livepoint_disk_misses: n(&l.misses),
+            livepoint_disk_rejects: n(&l.rejects),
+            livepoint_store_writes: n(&l.writes),
+            replay_hits: n(&self.replays.hits),
+            replay_misses: n(&self.replays.misses),
+            ooo_replay_hits: n(&self.ooo_replays.hits),
+            ooo_replay_misses: n(&self.ooo_replays.misses),
+            disk_io_errors: n(&t.io_errors),
+            risc_disk_io_errors: n(&r.io_errors),
+            phase_disk_io_errors: n(&p.io_errors),
+            livepoint_disk_io_errors: n(&l.io_errors),
+            degraded: n(&self.degraded),
         }
     }
 }
@@ -1664,16 +1475,9 @@ mod tests {
         // from the memoized checkpoint set.
         let compiled = s.compiled(&w, scale, &opts, hand).unwrap();
         let log = s.trace(&w, scale, &opts, hand, mem, budget).unwrap();
-        let parent_key = TraceId {
-            workload: w.name.to_string(),
-            scale: "test".to_string(),
-            opts_sig: opts_sig(&opts),
-            hand,
-            code_sig: code_sig(&compiled),
-            mem_size: mem as u64,
-            max_blocks: budget,
-        }
-        .stable_hash();
+        let parent_key = TraceKey::new(&w, scale, &opts, hand, mem, budget)
+            .trace_id(&compiled)
+            .stable_hash();
         let par = s
             .replay_trips_live(&compiled, &log, &cfg, &plan, parent_key, 2)
             .unwrap();

@@ -104,8 +104,8 @@ pub use phase::{PhaseK, PhaseSpec};
 pub use pool::{parallel_map, parallel_map_catch, JobPanic};
 pub use sample::{PhasePlan, ReplayMode, SamplePlan};
 pub use store::{
-    BbvId, FsckReport, LivePointId, LivePointSet, LivePointStates, LoadOutcome, PruneReport,
-    RiscTraceId, StoreStats, TraceStore,
+    BbvId, Container, ContainerId, FsckReport, LivePointId, LivePointSet, LivePointStates,
+    LoadOutcome, PruneReport, RiscTraceId, StoreStats, TraceStore,
 };
 pub use sweep::{
     run_sweep, BackendSpec, ConfigVariant, RowDetail, SweepReport, SweepRow, SweepSpec,

@@ -4,7 +4,8 @@
 //! The in-memory caches die with the process, so every process (and every
 //! CI run) used to re-capture every workload from scratch — exactly the
 //! redundant functional execution the replay design exists to avoid. A
-//! [`TraceStore`] persists captures instead, in two container kinds:
+//! [`TraceStore`] persists captures instead, in four container kinds (each
+//! payload type implements [`Container`], keyed by its [`ContainerId`]):
 //!
 //! * **TRIPS block traces** ([`trips_isa::TraceLog`]), keyed by
 //!   [`TraceId::stable_hash`] — the stable hash of the complete capture
@@ -87,9 +88,10 @@ use trips_risc::{RiscTrace, RiscTraceHeader, RISC_TRACE_VERSION};
 pub const STORE_MAGIC: [u8; 4] = *b"TRST";
 
 /// Container-format version (the framing around the serialized payload; the
-/// payloads' own formats are versioned separately by
-/// [`trips_isa::trace::TRACE_VERSION`] and
-/// [`trips_risc::RISC_TRACE_VERSION`]).
+/// payloads' own formats are versioned separately, one
+/// [`Container::VERSION`] per kind: [`trips_isa::trace::TRACE_VERSION`],
+/// [`trips_risc::RISC_TRACE_VERSION`], [`trips_phase::BBV_VERSION`] and
+/// [`LIVEPOINT_VERSION`]).
 pub const STORE_VERSION: u32 = 2;
 
 /// Container kind: a TRIPS block trace ([`TraceLog`] payload).
@@ -129,6 +131,151 @@ const IO_ATTEMPTS: u32 = 3;
 /// count — they mean the disk served bytes fine and the *content* was
 /// bad, which recapture fixes.
 pub const BREAKER_TRIP_AFTER: u64 = 4;
+
+/// One persisted artifact kind: the payload type of a store container.
+///
+/// The store's generic [`TraceStore::load`]/[`TraceStore::save`]/
+/// [`TraceStore::quarantine`] are keyed by the identity type, so the kind
+/// is decided by the argument alone.
+pub trait Container: serde::Serialize + serde::DeserializeOwned {
+    /// The container-kind tag written into the header.
+    const KIND: u32;
+    /// The payload-format version written into the header.
+    const VERSION: u32;
+    /// The identity this kind is stored under.
+    type Id: ContainerId<Payload = Self>;
+
+    /// Checks a decoded payload against the identity it was looked up
+    /// under (kind-confusion and renamed files reject rather than serve).
+    ///
+    /// # Errors
+    /// A description of the first mismatching field.
+    fn check_id(&self, id: &Self::Id) -> Result<(), String>;
+}
+
+/// The complete identity of one stored artifact.
+pub trait ContainerId {
+    /// The kind of container this identity names.
+    type Payload: Container<Id = Self>;
+
+    /// The stable 64-bit key the container is stored under.
+    fn stable_hash(&self) -> u64;
+}
+
+impl Container for TraceLog {
+    const KIND: u32 = KIND_BLOCK_TRACE;
+    const VERSION: u32 = trips_isa::trace::TRACE_VERSION;
+    type Id = TraceId;
+
+    fn check_id(&self, id: &TraceId) -> Result<(), String> {
+        id.matches_header(&self.header)
+    }
+}
+
+impl Container for RiscTrace {
+    const KIND: u32 = KIND_RISC_TRACE;
+    const VERSION: u32 = RISC_TRACE_VERSION;
+    type Id = RiscTraceId;
+
+    fn check_id(&self, id: &RiscTraceId) -> Result<(), String> {
+        id.matches_header(&self.header)
+    }
+}
+
+/// A fitted artifact carries no identity of its own; the caller validates
+/// it against the spec and stream it is about to serve.
+impl Container for PhaseArtifact {
+    const KIND: u32 = KIND_BBV;
+    const VERSION: u32 = BBV_VERSION;
+    type Id = BbvId;
+
+    fn check_id(&self, _: &BbvId) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Container for LivePointSet {
+    const KIND: u32 = KIND_LIVEPOINT;
+    const VERSION: u32 = LIVEPOINT_VERSION;
+    type Id = LivePointId;
+
+    fn check_id(&self, id: &LivePointId) -> Result<(), String> {
+        self.matches_id(id)
+    }
+}
+
+impl ContainerId for TraceId {
+    type Payload = TraceLog;
+
+    fn stable_hash(&self) -> u64 {
+        TraceId::stable_hash(self)
+    }
+}
+
+impl ContainerId for RiscTraceId {
+    type Payload = RiscTrace;
+
+    fn stable_hash(&self) -> u64 {
+        RiscTraceId::stable_hash(self)
+    }
+}
+
+impl ContainerId for BbvId {
+    type Payload = PhaseArtifact;
+
+    /// A stable 64-bit key under its own hash domain, folding in
+    /// [`BBV_VERSION`] so a fit-format bump retires every stored artifact
+    /// at once.
+    fn stable_hash(&self) -> u64 {
+        let mut h = trips_isa::hash::StableHasher::new();
+        h.write_str("trips.bbv");
+        h.write_u64(u64::from(BBV_VERSION));
+        h.write_u64(self.parent_key);
+        h.write_u64(self.interval);
+        h.write_u64(self.warmup);
+        h.write_u64(self.k_code);
+        h.write_u64(self.floor);
+        h.write_u64(self.rep_span);
+        h.write_u64(self.boundary);
+        h.write_u64(self.tail);
+        h.finish()
+    }
+}
+
+impl ContainerId for LivePointId {
+    type Payload = LivePointSet;
+
+    /// A stable 64-bit key under its own hash domain, folding in
+    /// [`LIVEPOINT_VERSION`] so a snapshot-format bump retires every
+    /// stored set at once.
+    fn stable_hash(&self) -> u64 {
+        let mut h = trips_isa::hash::StableHasher::new();
+        h.write_str("trips.livepoint");
+        h.write_u64(u64::from(LIVEPOINT_VERSION));
+        h.write_u64(self.parent_key);
+        h.write_u64(self.plan_sig);
+        h.write_u64(self.cfg_sig);
+        h.write_u64(u64::from(self.core));
+        h.finish()
+    }
+}
+
+/// A container kind, its current payload version, and its census field.
+type KindRow = (u32, u32, fn(&mut StoreStats) -> &mut u64);
+
+/// Every container kind the current build reads, with the census field
+/// that counts it: the one table `classify`, `stats`, `fsck` and
+/// `prune_stale` consult.
+static KINDS: [KindRow; 4] = [
+    (TraceLog::KIND, TraceLog::VERSION, |s| &mut s.block_traces),
+    (RiscTrace::KIND, RiscTrace::VERSION, |s| &mut s.risc_traces),
+    (PhaseArtifact::KIND, PhaseArtifact::VERSION, |s| {
+        &mut s.bbv_plans
+    }),
+    (LivePointSet::KIND, LivePointSet::VERSION, |s| {
+        &mut s.live_points
+    }),
+];
 
 /// What one store lookup produced (`T` is the payload type of the
 /// container kind that was asked for).
@@ -265,27 +412,6 @@ pub struct BbvId {
     pub tail: u64,
 }
 
-impl BbvId {
-    /// A stable 64-bit key under its own hash domain, folding in
-    /// [`BBV_VERSION`] so a fit-format bump retires every stored artifact
-    /// at once.
-    #[must_use]
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = trips_isa::hash::StableHasher::new();
-        h.write_str("trips.bbv");
-        h.write_u64(u64::from(BBV_VERSION));
-        h.write_u64(self.parent_key);
-        h.write_u64(self.interval);
-        h.write_u64(self.warmup);
-        h.write_u64(self.k_code);
-        h.write_u64(self.floor);
-        h.write_u64(self.rep_span);
-        h.write_u64(self.boundary);
-        h.write_u64(self.tail);
-        h.finish()
-    }
-}
-
 /// A stable signature of a fitted phase plan: the content hash of its
 /// serialized bytes. Part of a [`LivePointId`] — any change to the plan
 /// (window boundaries, weights, interval) moves the signature and retires
@@ -313,23 +439,6 @@ pub struct LivePointId {
     /// container kind keeps the two state layouts in disjoint key spaces
     /// even if the signatures ever collided).
     pub core: u32,
-}
-
-impl LivePointId {
-    /// A stable 64-bit key under its own hash domain, folding in
-    /// [`LIVEPOINT_VERSION`] so a snapshot-format bump retires every
-    /// stored set at once.
-    #[must_use]
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = trips_isa::hash::StableHasher::new();
-        h.write_str("trips.livepoint");
-        h.write_u64(u64::from(LIVEPOINT_VERSION));
-        h.write_u64(self.parent_key);
-        h.write_u64(self.plan_sig);
-        h.write_u64(self.cfg_sig);
-        h.write_u64(u64::from(self.core));
-        h.finish()
-    }
 }
 
 /// The warmed machine states of one checkpoint-capture pass, one per
@@ -489,10 +598,8 @@ pub struct PruneReport {
 
 /// How a container header classifies against the current build.
 enum ContainerClass {
-    CurrentBlock,
-    CurrentRisc,
-    CurrentBbv,
-    CurrentLivePoint,
+    /// A kind and payload version listed in [`KINDS`].
+    Current(&'static KindRow),
     Stale,
 }
 
@@ -528,13 +635,7 @@ impl TraceStore {
         // forever. (This can race a concurrent writer's in-flight temp
         // file; its save then fails, which savers already tolerate — the
         // capture is still returned, and the next miss re-writes.)
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with(".tmp-") {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
+        remove_tmp_debris(&dir);
         Ok(TraceStore {
             dir,
             tmp_seq: AtomicU64::new(0),
@@ -586,104 +687,21 @@ impl TraceStore {
         self.dir.join(format!("{key:016x}.trace"))
     }
 
-    /// The file path a TRIPS block-trace identity is stored under.
+    /// The file path an identity is stored under.
     #[must_use]
-    pub fn path_for(&self, id: &TraceId) -> PathBuf {
+    pub fn path_for<I: ContainerId>(&self, id: &I) -> PathBuf {
         self.path_for_key(id.stable_hash())
     }
 
-    /// The file path a RISC event-stream identity is stored under.
-    #[must_use]
-    pub fn path_for_risc(&self, id: &RiscTraceId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
-    }
-
-    /// The file path a BBV/phase-plan identity is stored under.
-    #[must_use]
-    pub fn path_for_bbv(&self, id: &BbvId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
-    }
-
-    /// The file path a live-point identity is stored under.
-    #[must_use]
-    pub fn path_for_livepoint(&self, id: &LivePointId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
-    }
-
-    /// Looks up a TRIPS block trace, verifying the container (magic,
-    /// versions, kind, key, payload hash) and the log's provenance header.
-    /// Rejected files are quarantined so the next writer replaces them
-    /// (and the evidence survives for post-mortems).
-    pub fn load(&self, id: &TraceId) -> LoadOutcome<TraceLog> {
-        self.load_kind(
-            id.stable_hash(),
-            KIND_BLOCK_TRACE,
-            trips_isa::trace::TRACE_VERSION,
-            |payload| {
-                let log: TraceLog =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                id.matches_header(&log.header)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(log)
-            },
-        )
-    }
-
-    /// Looks up a BBV/phase-plan artifact; same verification discipline
-    /// as [`TraceStore::load`] (the caller still validates the artifact
-    /// against the spec and stream it is about to serve).
-    pub fn load_bbv(&self, id: &BbvId) -> LoadOutcome<PhaseArtifact> {
-        self.load_kind(id.stable_hash(), KIND_BBV, BBV_VERSION, |payload| {
-            let art: PhaseArtifact =
-                serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-            Ok(art)
-        })
-    }
-
-    /// Looks up a live-point checkpoint set; same verification discipline
-    /// as [`TraceStore::load`], plus the payload's embedded identity must
-    /// match `id` (the caller still checks the window count against the
-    /// plan it is about to schedule).
-    pub fn load_livepoint(&self, id: &LivePointId) -> LoadOutcome<LivePointSet> {
-        self.load_kind(
-            id.stable_hash(),
-            KIND_LIVEPOINT,
-            LIVEPOINT_VERSION,
-            |payload| {
-                let set: LivePointSet =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                set.matches_id(id)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(set)
-            },
-        )
-    }
-
-    /// Looks up a RISC event stream; same verification discipline as
-    /// [`TraceStore::load`].
-    pub fn load_risc(&self, id: &RiscTraceId) -> LoadOutcome<RiscTrace> {
-        self.load_kind(
-            id.stable_hash(),
-            KIND_RISC_TRACE,
-            RISC_TRACE_VERSION,
-            |payload| {
-                let trace: RiscTrace =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                id.matches_header(&trace.header)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(trace)
-            },
-        )
-    }
-
-    fn load_kind<T>(
-        &self,
-        key: u64,
-        kind: u32,
-        payload_version: u32,
-        decode_payload: impl FnOnce(&[u8]) -> Result<T, String>,
-    ) -> LoadOutcome<T> {
+    /// Looks up the container stored under `id`, verifying the framing
+    /// (magic, versions, kind, key, payload hash) and then the payload's
+    /// own identity ([`Container::check_id`]). Rejected files are
+    /// quarantined so the next writer replaces them (and the evidence
+    /// survives for post-mortems). The caller still validates a hit
+    /// against what it is about to serve (program, spec, plan).
+    pub fn load<I: ContainerId>(&self, id: &I) -> LoadOutcome<I::Payload> {
         let _span = trips_obs::span("store.load");
+        let key = id.stable_hash();
         let path = self.path_for_key(key);
         let mut attempt = 0u32;
         let read_span = trips_obs::span("store.read");
@@ -727,67 +745,47 @@ impl TraceStore {
         trips_obs::cost::add_store_read(bytes.len() as u64);
         let verified = {
             let _span = trips_obs::span("store.verify");
-            Self::verify_container(key, kind, payload_version, &bytes)
+            Self::verify_container(key, I::Payload::KIND, I::Payload::VERSION, &bytes)
         };
-        let payload = match verified {
-            Ok(p) => p,
-            Err(why) => return self.reject(&path, why),
-        };
-        let decoded = {
+        let decoded = verified.and_then(|payload| {
             let _span = trips_obs::span("store.decode");
-            decode_payload(payload)
-        };
+            let value = serde::bin::from_bytes::<I::Payload>(payload)
+                .map_err(|e| format!("payload decode: {e}"))?;
+            value
+                .check_id(id)
+                .map_err(|e| format!("identity mismatch: {e}"))?;
+            Ok(value)
+        });
         match decoded {
-            Ok(v) => LoadOutcome::Hit(Box::new(v)),
-            Err(why) => self.reject(&path, why),
+            Ok(value) => LoadOutcome::Hit(Box::new(value)),
+            Err(why) => {
+                self.quarantine_file(&path, &why);
+                LoadOutcome::Reject(why)
+            }
         }
     }
 
-    /// Persists a TRIPS block trace under `id`: serialize, frame, write to
-    /// a unique temp file in the store directory, atomically rename into
-    /// place.
+    /// Persists `value` under `id`: serialize, frame, write to a unique
+    /// temp file in the store directory, atomically rename into place.
     ///
     /// # Errors
     /// Any I/O error (the temp file is cleaned up best-effort; the store is
     /// a cache, so callers typically log-and-continue).
-    pub fn save(&self, id: &TraceId, log: &TraceLog) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_BLOCK_TRACE,
-            trips_isa::trace::TRACE_VERSION,
-            log,
-        )
-    }
-
-    /// Persists a RISC event stream under `id`; same discipline as
-    /// [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Any I/O error.
-    pub fn save_risc(&self, id: &RiscTraceId, trace: &RiscTrace) -> io::Result<()> {
-        self.save_kind(id.stable_hash(), KIND_RISC_TRACE, RISC_TRACE_VERSION, trace)
-    }
-
-    fn save_kind<T: serde::Serialize>(
-        &self,
-        key: u64,
-        kind: u32,
-        payload_version: u32,
-        value: &T,
-    ) -> io::Result<()> {
+    pub fn save<I: ContainerId>(&self, id: &I, value: &I::Payload) -> io::Result<()> {
         let _span = trips_obs::span("store.save");
+        let key = id.stable_hash();
         // The payload is encoded in place after the header; its hash and
         // length are patched in once it is complete.
         let mut bytes = Vec::with_capacity(HEADER_LEN);
         bytes.extend_from_slice(&STORE_MAGIC);
         bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&kind.to_le_bytes());
-        bytes.extend_from_slice(&payload_version.to_le_bytes());
+        bytes.extend_from_slice(&I::Payload::KIND.to_le_bytes());
+        bytes.extend_from_slice(&I::Payload::VERSION.to_le_bytes());
         bytes.extend_from_slice(&key.to_le_bytes());
         bytes.resize(HEADER_LEN, 0);
         {
             let _span = trips_obs::span("store.encode");
-            value.bin_encode(&mut bytes);
+            serde::Serialize::bin_encode(value, &mut bytes);
         }
         let payload = &bytes[HEADER_LEN..];
         let hash = trips_isa::hash::content_hash(payload);
@@ -823,6 +821,51 @@ impl TraceStore {
                 }
             }
         }
+    }
+
+    /// Quarantines the file under `id` (used when a container-valid
+    /// payload still fails the caller's deeper validation).
+    pub fn quarantine<I: ContainerId>(&self, id: &I, why: &str) {
+        self.quarantine_file(&self.path_for(id), why);
+    }
+
+    // Per-kind names kept as forwards because the frozen `trips-perf`
+    // benchmark harness calls them.
+    #[doc(hidden)]
+    pub fn path_for_risc(&self, id: &RiscTraceId) -> PathBuf {
+        self.path_for(id)
+    }
+    #[doc(hidden)]
+    pub fn path_for_bbv(&self, id: &BbvId) -> PathBuf {
+        self.path_for(id)
+    }
+    #[doc(hidden)]
+    pub fn path_for_livepoint(&self, id: &LivePointId) -> PathBuf {
+        self.path_for(id)
+    }
+    #[doc(hidden)]
+    pub fn load_risc(&self, id: &RiscTraceId) -> LoadOutcome<RiscTrace> {
+        self.load(id)
+    }
+    #[doc(hidden)]
+    pub fn load_bbv(&self, id: &BbvId) -> LoadOutcome<PhaseArtifact> {
+        self.load(id)
+    }
+    #[doc(hidden)]
+    pub fn load_livepoint(&self, id: &LivePointId) -> LoadOutcome<LivePointSet> {
+        self.load(id)
+    }
+    #[doc(hidden)]
+    pub fn save_risc(&self, id: &RiscTraceId, trace: &RiscTrace) -> io::Result<()> {
+        self.save(id, trace)
+    }
+    #[doc(hidden)]
+    pub fn save_bbv(&self, id: &BbvId, art: &PhaseArtifact) -> io::Result<()> {
+        self.save(id, art)
+    }
+    #[doc(hidden)]
+    pub fn save_livepoint(&self, id: &LivePointId, set: &LivePointSet) -> io::Result<()> {
+        self.save(id, set)
     }
 
     /// One atomic write attempt: temp file in the store directory, rename
@@ -882,55 +925,6 @@ impl TraceStore {
         }
     }
 
-    /// Quarantines the file under a TRIPS block-trace identity (used when
-    /// a verified-at-container-level log still fails deeper validation
-    /// against the program).
-    pub fn quarantine(&self, id: &TraceId, why: &str) {
-        self.quarantine_file(&self.path_for(id), why);
-    }
-
-    /// Quarantines the file under a RISC event-stream identity.
-    pub fn quarantine_risc(&self, id: &RiscTraceId, why: &str) {
-        self.quarantine_file(&self.path_for_risc(id), why);
-    }
-
-    /// Persists a BBV/phase-plan artifact under `id`; same discipline as
-    /// [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Any I/O error.
-    pub fn save_bbv(&self, id: &BbvId, art: &PhaseArtifact) -> io::Result<()> {
-        self.save_kind(id.stable_hash(), KIND_BBV, BBV_VERSION, art)
-    }
-
-    /// Quarantines the file under a BBV/phase-plan identity (used when a
-    /// container-valid artifact fails validation against the stream it is
-    /// meant to describe).
-    pub fn quarantine_bbv(&self, id: &BbvId, why: &str) {
-        self.quarantine_file(&self.path_for_key(id.stable_hash()), why);
-    }
-
-    /// Persists a live-point checkpoint set under `id`; same discipline as
-    /// [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Any I/O error.
-    pub fn save_livepoint(&self, id: &LivePointId, set: &LivePointSet) -> io::Result<()> {
-        self.save_kind(id.stable_hash(), KIND_LIVEPOINT, LIVEPOINT_VERSION, set)
-    }
-
-    /// Quarantines the file under a live-point identity (used when a
-    /// container-valid set fails validation against the plan it is meant
-    /// to seed — e.g. a wrong window count).
-    pub fn quarantine_livepoint(&self, id: &LivePointId, why: &str) {
-        self.quarantine_file(&self.path_for_key(id.stable_hash()), why);
-    }
-
-    fn reject<T>(&self, path: &Path, why: String) -> LoadOutcome<T> {
-        self.quarantine_file(path, &why);
-        LoadOutcome::Reject(why)
-    }
-
     /// Moves a rejected container into `quarantine/` with a `.reason`
     /// sidecar, preserving the evidence while making sure no load can
     /// ever serve it again. The subdirectory is created lazily. If the
@@ -968,17 +962,8 @@ impl TraceStore {
 
     /// Census of the `quarantine/` subdirectory: container count, bytes.
     fn quarantine_census(&self) -> (u64, u64) {
-        let (mut n, mut bytes) = (0u64, 0u64);
-        if let Ok(entries) = fs::read_dir(self.dir.join(QUARANTINE_DIR)) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.extension() == Some(std::ffi::OsStr::new("trace")) {
-                    n += 1;
-                    bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-                }
-            }
-        }
-        (n, bytes)
+        let files = trace_files(&self.dir.join(QUARANTINE_DIR)).unwrap_or_default();
+        (files.len() as u64, files.iter().map(|(_, len)| len).sum())
     }
 
     /// Verifies every container in the store — header sanity, key vs
@@ -996,54 +981,37 @@ impl TraceStore {
     /// Any error listing the directory.
     pub fn fsck(&self) -> io::Result<FsckReport> {
         let _span = trips_obs::span("store.fsck");
-        let mut r = FsckReport::default();
-        let mut paths = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if entry.file_name().to_string_lossy().starts_with(".tmp-") {
-                if fs::remove_file(&path).is_ok() {
-                    r.repaired_tmp += 1;
-                }
-                continue;
-            }
-            if path.extension() == Some(std::ffi::OsStr::new("trace")) {
-                paths.push(path);
-            }
-        }
-        for path in paths {
+        let mut r = FsckReport {
+            repaired_tmp: remove_tmp_debris(&self.dir),
+            ..FsckReport::default()
+        };
+        for (path, _) in trace_files(&self.dir)? {
             r.scanned += 1;
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => {
-                    r.unreadable += 1;
+            let Ok(bytes) = fs::read(&path) else {
+                r.unreadable += 1;
+                continue;
+            };
+            // Distinguish "cleanly from another era" (intact magic, a
+            // version we no longer speak — prune's domain) from damage
+            // (too short for a header, garbage magic).
+            let versioned_out = bytes.len() >= HEADER_LEN && bytes[..4] == STORE_MAGIC;
+            let verdict = match (Self::classify(&bytes), Self::key_from_path(&path)) {
+                (ContainerClass::Stale, _) if versioned_out => {
+                    r.stale += 1;
                     continue;
                 }
-            };
-            if matches!(Self::classify(&bytes), ContainerClass::Stale) {
-                // Distinguish "cleanly from another era" (intact magic, a
-                // version we no longer speak — prune's domain) from
-                // damage (too short for a header, garbage magic).
-                let versioned_out = bytes.len() >= HEADER_LEN && bytes[..4] == STORE_MAGIC;
-                if versioned_out {
-                    r.stale += 1;
-                } else {
-                    self.quarantine_file(&path, "fsck: not a container (truncated or bad magic)");
-                    r.quarantined += 1;
+                (ContainerClass::Stale, _) => {
+                    Err("not a container (truncated or bad magic)".to_string())
                 }
-                continue;
-            }
-            // Current-version container: full verification against the
-            // kind/payload-version it claims and the key its name claims.
-            let kind = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-            let payload_version = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-            let Some(key) = Self::key_from_path(&path) else {
-                self.quarantine_file(&path, "fsck: file name is not a container key");
-                r.quarantined += 1;
-                continue;
+                (_, None) => Err("file name is not a container key".to_string()),
+                // Current-version container: full verification against
+                // the kind it claims and the key its name claims.
+                (ContainerClass::Current(&(kind, version, _)), Some(key)) => {
+                    Self::verify_container(key, kind, version, &bytes).map(drop)
+                }
             };
-            match Self::verify_container(key, kind, payload_version, &bytes) {
-                Ok(_) => r.ok += 1,
+            match verdict {
+                Ok(()) => r.ok += 1,
                 Err(why) => {
                     self.quarantine_file(&path, &format!("fsck: {why}"));
                     r.quarantined += 1;
@@ -1130,26 +1098,16 @@ impl TraceStore {
         if u32_at(4) != STORE_VERSION {
             return ContainerClass::Stale;
         }
-        match (u32_at(8), u32_at(12)) {
-            (KIND_BLOCK_TRACE, v) if v == trips_isa::trace::TRACE_VERSION => {
-                ContainerClass::CurrentBlock
-            }
-            (KIND_RISC_TRACE, v) if v == RISC_TRACE_VERSION => ContainerClass::CurrentRisc,
-            (KIND_BBV, v) if v == BBV_VERSION => ContainerClass::CurrentBbv,
-            (KIND_LIVEPOINT, v) if v == LIVEPOINT_VERSION => ContainerClass::CurrentLivePoint,
-            _ => ContainerClass::Stale,
-        }
+        let (kind, version) = (u32_at(8), u32_at(12));
+        KINDS
+            .iter()
+            .find(|&&(k, v, _)| (k, v) == (kind, version))
+            .map_or(ContainerClass::Stale, ContainerClass::Current)
     }
 
     fn containers(&self) -> io::Result<Vec<(PathBuf, u64, ContainerClass)>> {
         let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension() != Some(std::ffi::OsStr::new("trace")) {
-                continue;
-            }
-            let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
+        for (path, len) in trace_files(&self.dir)? {
             // Classification needs only the header — never pull a
             // multi-megabyte payload through the page cache for a census.
             let mut head = [0u8; HEADER_LEN];
@@ -1184,10 +1142,7 @@ impl TraceStore {
             s.containers += 1;
             s.bytes += len;
             match class {
-                ContainerClass::CurrentBlock => s.block_traces += 1,
-                ContainerClass::CurrentRisc => s.risc_traces += 1,
-                ContainerClass::CurrentBbv => s.bbv_plans += 1,
-                ContainerClass::CurrentLivePoint => s.live_points += 1,
+                ContainerClass::Current(&(_, _, census)) => *census(&mut s) += 1,
                 ContainerClass::Stale => s.stale += 1,
             }
         }
@@ -1205,7 +1160,10 @@ impl TraceStore {
     /// whose parent stream container is gone, or whose plan signature no
     /// current fitted artifact in this store produces (the fit parameters
     /// changed), can never be served again — its key will simply never be
-    /// asked for — so it is collected too.
+    /// asked for — so it is collected too. Parentage is read only from
+    /// payloads that pass full verification: a set (or fitted artifact)
+    /// with a corrupt payload proves nothing, and a corrupt set is kept
+    /// for [`TraceStore::fsck`] or a load to quarantine as evidence.
     ///
     /// # Errors
     /// Any error listing the directory (individual deletions are
@@ -1216,24 +1174,19 @@ impl TraceStore {
         // Keys of current parent-capable containers (traces/streams), for
         // live-point parentage, read off the file names.
         let mut parents: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        // Plan signatures a current fitted artifact still produces.
+        // Plan signatures a current, verified fitted artifact still
+        // produces (a corrupt one vouches for nothing).
         let mut live_plans: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for (path, _, class) in &containers {
             match class {
-                ContainerClass::CurrentBlock | ContainerClass::CurrentRisc => {
+                ContainerClass::Current(&(KIND_BLOCK_TRACE | KIND_RISC_TRACE, ..)) => {
                     if let Some(key) = Self::key_from_path(path) {
                         parents.insert(key);
                     }
                 }
-                ContainerClass::CurrentBbv => {
-                    if let Ok(bytes) = fs::read(path) {
-                        if bytes.len() >= HEADER_LEN {
-                            if let Ok(art) =
-                                serde::bin::from_bytes::<PhaseArtifact>(&bytes[HEADER_LEN..])
-                            {
-                                live_plans.insert(plan_sig(&art.plan));
-                            }
-                        }
+                ContainerClass::Current(&(KIND_BBV, ..)) => {
+                    if let Some(art) = Self::read_verified::<PhaseArtifact>(path) {
+                        live_plans.insert(plan_sig(&art.plan));
                     }
                 }
                 _ => {}
@@ -1242,30 +1195,22 @@ impl TraceStore {
         for (path, len, class) in &containers {
             report.scanned += 1;
             let (collect, orphan) = match class {
-                ContainerClass::CurrentBlock
-                | ContainerClass::CurrentRisc
-                | ContainerClass::CurrentBbv => (false, false),
                 ContainerClass::Stale => (true, false),
-                ContainerClass::CurrentLivePoint => {
-                    match fs::read(path).ok().and_then(|bytes| {
-                        (bytes.len() >= HEADER_LEN)
-                            .then(|| {
-                                serde::bin::from_bytes::<LivePointParentage>(&bytes[HEADER_LEN..])
-                                    .ok()
-                            })
-                            .flatten()
-                    }) {
+                ContainerClass::Current(&(KIND_LIVEPOINT, ..)) => {
+                    match Self::read_verified::<LivePointParentage>(path) {
                         Some(set) => {
                             let orphan = !parents.contains(&set.parent_key)
                                 || !live_plans.contains(&set.plan_sig);
                             (orphan, orphan)
                         }
-                        // Unreadable or undecodable right now: leave it for
-                        // load() to adjudicate (same policy as elsewhere —
-                        // an I/O hiccup is not evidence of staleness).
+                        // Unreadable, or failing verification: leave it for
+                        // fsck/load() to adjudicate — an I/O hiccup is not
+                        // evidence of staleness, and a corrupt set must be
+                        // quarantined as evidence, never unlinked.
                         None => (false, false),
                     }
                 }
+                ContainerClass::Current(_) => (false, false),
             };
             if collect && fs::remove_file(path).is_ok() {
                 report.removed += 1;
@@ -1280,9 +1225,48 @@ impl TraceStore {
         Ok(report)
     }
 
+    /// Reads a current container and decodes its payload as `T`, but only
+    /// if it passes full verification against the kind its header claims
+    /// and the key its name claims: fields of an unverified payload are
+    /// never trusted.
+    fn read_verified<T: serde::DeserializeOwned>(path: &Path) -> Option<T> {
+        let bytes = fs::read(path).ok()?;
+        let key = Self::key_from_path(path)?;
+        let ContainerClass::Current(&(kind, version, _)) = Self::classify(&bytes) else {
+            return None;
+        };
+        let payload = Self::verify_container(key, kind, version, &bytes).ok()?;
+        serde::bin::from_bytes(payload).ok()
+    }
+
     /// Parses the content key back out of a `<key:016x>.trace` file name.
     fn key_from_path(path: &Path) -> Option<u64> {
         let stem = path.file_stem()?.to_str()?;
         u64::from_str_radix(stem, 16).ok()
     }
+}
+
+/// The `.trace` container files in `dir`, with their sizes.
+fn trace_files(dir: &Path) -> io::Result<Vec<(PathBuf, u64)>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let path = entry.path();
+        if path.extension() == Some(std::ffi::OsStr::new("trace")) {
+            out.push((path, entry.metadata().map(|m| m.len()).unwrap_or(0)));
+        }
+    }
+    Ok(out)
+}
+
+/// Removes the `.tmp-` files of writers that died between write and
+/// rename; returns how many went.
+fn remove_tmp_debris(dir: &Path) -> u64 {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return 0;
+    };
+    let debris = entries
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"));
+    debris.filter(|e| fs::remove_file(e.path()).is_ok()).count() as u64
 }

@@ -20,9 +20,14 @@ use trips_engine::cache::{code_sig, opts_sig};
 use trips_engine::chaos::{self, FaultPlan, Profile};
 use trips_engine::store::BREAKER_TRIP_AFTER;
 use trips_engine::sweep::to_csv;
-use trips_engine::{run_sweep, BackendSpec, LoadOutcome, Session, SweepRow, SweepSpec, TraceStore};
+use trips_engine::{
+    run_sweep, BackendSpec, LoadOutcome, PhaseK, PhaseSpec, ReplayMode, Session, SweepRow,
+    SweepSpec, TraceStore,
+};
 use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_workloads::{by_name, Scale};
+
+mod tier_series;
 
 const MEM: usize = 1 << 22;
 const BUDGET: u64 = 1_000_000;
@@ -309,6 +314,62 @@ fn io_failure_storm_trips_the_breaker_and_degrades_to_memory_tiers() {
         BREAKER_TRIP_AFTER + 2,
         "all rows captured fresh"
     );
+}
+
+#[test]
+fn read_errors_count_into_each_tiers_own_io_error_series() {
+    // An I/O-read plan that fails every container read: each of the
+    // four disk tiers (trace, RISC stream, phase plan, live-point set)
+    // meets an I/O error, recaptures, and writes back (no write faults,
+    // so the successful saves keep the breaker closed). Each tier's
+    // `*_disk_io_errors` field must equal its own series.
+    let _g = Armed::with(FaultPlan::new(
+        13,
+        "io",
+        Profile {
+            read_err_ppm: 1_000_000,
+            ..Profile::zero()
+        },
+    ));
+    let dir = tmp_dir("io-tiers");
+    let before = tier_series::series_now();
+    let session = Session::with_store(TraceStore::open(&dir).unwrap());
+    session.set_live_points(1);
+    let w = by_name("vadd").unwrap();
+    let opts = CompileOptions::o1();
+    let spec = PhaseSpec {
+        interval: 8,
+        warmup: 4,
+        k: PhaseK::Auto,
+        floor: 0,
+        rep_span: 4,
+        boundary: 1,
+        tail: 1,
+    };
+    let plan = session
+        .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
+        .unwrap();
+    let mode = ReplayMode::Phased((*plan).clone());
+    let cfg = trips_sim::TripsConfig::prototype();
+    session
+        .replayed(&w, Scale::Test, &opts, false, &cfg, MEM, BUDGET, &mode)
+        .unwrap();
+    session
+        .risc_trace(&w, Scale::Test, &opts, MEM, BUDGET)
+        .unwrap();
+    let st = session.cache_stats();
+    assert_eq!(
+        (
+            st.disk_io_errors,
+            st.risc_disk_io_errors,
+            st.phase_disk_io_errors,
+            st.livepoint_disk_io_errors
+        ),
+        (1, 1, 1, 1),
+        "every tier's one load must fail with an I/O error: {st:?}"
+    );
+    assert_eq!(st.degraded, 0, "saves succeed, so the breaker stays closed");
+    tier_series::assert_fields_match_series(&st, &before);
 }
 
 #[test]

@@ -6,9 +6,24 @@
 //! process-global: the bare sweep has to run before `enable_trace`.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use trips_compiler::CompileOptions;
 use trips_engine::sweep::to_csv;
-use trips_engine::{run_sweep, Session, SweepSpec, TraceStore};
+use trips_engine::{
+    run_sweep, CacheStats, PhaseK, PhaseSpec, ReplayMode, Session, SweepSpec, TraceStore,
+};
+use trips_workloads::{by_name, Scale};
+
+mod tier_series;
+
+/// Serializes the tests in this binary: metrics are process-global, so a
+/// test reading series deltas must not overlap another test's sessions.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// CSV rows truncated to the 15 deterministic columns (through `status`;
 /// wall_ms and the RowCost columns after it are timing-dependent).
@@ -29,6 +44,7 @@ fn spec() -> SweepSpec {
 
 #[test]
 fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
+    let _serial = serial();
     // --- Bare sweep: no trace sink installed. -------------------------
     let session = Session::new();
     let bare = run_sweep(&spec(), &session).expect("bare sweep");
@@ -140,4 +156,105 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
         trips_obs::counter("replay_events_total{core=\"trips\"}").get() > 0,
         "trips replay loop must count its events"
     );
+}
+
+/// One store-backed session over vadd and autocor: TRIPS and core2
+/// points, both phased under plans short enough to skip work, with the
+/// live-point tier on, so every disk tier is consulted.
+fn phased_live_pass(store_dir: &std::path::Path) -> CacheStats {
+    const MEM: usize = 1 << 22;
+    let session = Session::with_store(TraceStore::open(store_dir).expect("open store"));
+    session.set_live_points(1);
+    let opts = CompileOptions::o1();
+    let trips_spec = PhaseSpec {
+        interval: 8,
+        warmup: 4,
+        k: PhaseK::Auto,
+        floor: 0,
+        rep_span: 4,
+        boundary: 1,
+        tail: 1,
+    };
+    let ooo_spec = PhaseSpec {
+        interval: 256,
+        warmup: 64,
+        ..trips_spec
+    };
+    let trips_cfg = trips_sim::TripsConfig::prototype();
+    let core2 = trips_ooo::core2();
+    for name in ["vadd", "autocor"] {
+        let w = by_name(name).expect("bundled workload");
+        let plan = session
+            .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, 1_000_000, &trips_spec)
+            .expect("trips plan");
+        assert!(
+            !plan.covers_everything(),
+            "{name}: trips plan must skip work"
+        );
+        let mode = ReplayMode::Phased((*plan).clone());
+        session
+            .replayed(
+                &w,
+                Scale::Test,
+                &opts,
+                false,
+                &trips_cfg,
+                MEM,
+                1_000_000,
+                &mode,
+            )
+            .expect("trips replay");
+        let plan = session
+            .ooo_phase_plan(&w, Scale::Test, &opts, MEM, 400_000_000, &ooo_spec)
+            .expect("ooo plan");
+        assert!(!plan.covers_everything(), "{name}: ooo plan must skip work");
+        let mode = ReplayMode::Phased((*plan).clone());
+        session
+            .ooo_replayed(&w, Scale::Test, &opts, &core2, MEM, 400_000_000, &mode)
+            .expect("ooo replay");
+    }
+    session.cache_stats()
+}
+
+#[test]
+fn every_disk_tier_counter_matches_its_metric_series_cold_and_warm() {
+    let _serial = serial();
+    let store_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("obs-tiers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+
+    let before = tier_series::series_now();
+    let cold = phased_live_pass(&store_dir);
+    tier_series::assert_fields_match_series(&cold, &before);
+    assert!(
+        cold.captures > 0 && cold.risc_captures > 0 && cold.phase_fits > 0,
+        "the cold pass must produce every artifact: {cold:?}"
+    );
+    assert!(cold.livepoint_captures > 0, "{cold:?}");
+
+    let before = tier_series::series_now();
+    let warm = phased_live_pass(&store_dir);
+    tier_series::assert_fields_match_series(&warm, &before);
+    assert_eq!(
+        (
+            warm.captures,
+            warm.risc_captures,
+            warm.phase_fits,
+            warm.livepoint_captures
+        ),
+        (0, 0, 0, 0),
+        "a warm store must serve every tier from disk: {warm:?}"
+    );
+    for (tier, hits) in [
+        ("trace", warm.disk_hits),
+        ("risc", warm.risc_disk_hits),
+        ("phase", warm.phase_disk_hits),
+        ("livepoint", warm.livepoint_disk_hits),
+    ] {
+        assert!(
+            hits > 0,
+            "the warm {tier} tier never hit the disk: {warm:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&store_dir);
 }

@@ -8,9 +8,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use trips_compiler::CompileOptions;
 use trips_engine::cache::{code_sig, opts_sig, risc_code_sig, trips_cfg_sig};
-use trips_engine::store::{plan_sig, LivePointId, LivePointSet, LivePointStates, KIND_BLOCK_TRACE};
+use trips_engine::store::{
+    plan_sig, LivePointId, LivePointSet, LivePointStates, KIND_BLOCK_TRACE, QUARANTINE_DIR,
+};
 use trips_engine::{
-    BbvId, LoadOutcome, PhaseK, PhaseSpec, ReplayMode, RiscTraceId, Session, TraceStore,
+    BbvId, ContainerId, LoadOutcome, PhaseK, PhaseSpec, PruneReport, ReplayMode, RiscTraceId,
+    Session, TraceStore,
 };
 use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_risc::{RiscTrace, RiscTraceMeta};
@@ -813,4 +816,135 @@ fn warm_store_serves_livepoints_to_a_fresh_session_without_rewarming() {
         "disk-restored replay must be bit-identical"
     );
     assert_eq!(a.return_value, b.return_value);
+}
+
+#[test]
+fn prune_keeps_a_corrupt_livepoint_set_for_fsck_to_quarantine() {
+    // A bit flip inside the encoded `parent_key` makes a set *look*
+    // orphaned. Prune must not trust fields of a payload that fails
+    // verification: the file stays, and fsck quarantines it as evidence.
+    let dir = tmp_dir("lp-prune-corrupt");
+    let store = TraceStore::open(&dir).unwrap();
+    let (block_id, log) = captured_vadd();
+    let (bbv_id, art) = fitted_vadd_bbv(&block_id, &log);
+    let (id, set) = captured_vadd_livepoints(&block_id, &log, &art);
+    store.save(&block_id, &log).unwrap();
+    store.save(&bbv_id, &art).unwrap();
+    store.save(&id, &set).unwrap();
+    // The payload bytes the two encodings differ in are exactly the
+    // encoded parent_key's low bit.
+    let clean = serde::bin::to_bytes(&set);
+    let flipped = serde::bin::to_bytes(&LivePointSet {
+        parent_key: set.parent_key ^ 1,
+        ..set.clone()
+    });
+    assert_eq!(clean.len(), flipped.len());
+    let path = store.path_for(&id);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let header = bytes.len() - clean.len();
+    for (i, (a, b)) in clean.iter().zip(&flipped).enumerate() {
+        bytes[header + i] ^= a ^ b;
+    }
+    std::fs::write(&path, &bytes).unwrap();
+
+    let report = store.prune_stale().unwrap();
+    assert_eq!(
+        report,
+        PruneReport {
+            scanned: 3,
+            removed: 0,
+            bytes_freed: 0,
+            kept: 3,
+            orphaned: 0,
+        },
+        "a corrupt set is kept for quarantine, not collected as an orphan"
+    );
+    assert!(path.exists());
+    let fsck = store.fsck().unwrap();
+    assert_eq!((fsck.quarantined, fsck.ok), (1, 2), "{fsck:?}");
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    let qdir = dir.join(QUARANTINE_DIR);
+    assert_eq!(std::fs::read(qdir.join(&name)).unwrap(), bytes);
+    assert!(qdir.join(format!("{name}.reason")).exists());
+}
+
+/// One stored sample of some container kind, driven through the generic
+/// store API.
+struct KindSample<'a> {
+    kind: &'static str,
+    path: PathBuf,
+    save: Box<dyn Fn() + 'a>,
+    /// Loads under the sample's own id; a hit reports whether the payload
+    /// came back equal to the saved one.
+    load: Box<dyn Fn() -> LoadOutcome<bool> + 'a>,
+}
+
+fn kind_sample<'a, I: ContainerId>(
+    kind: &'static str,
+    store: &'a TraceStore,
+    id: &'a I,
+    value: &'a I::Payload,
+) -> KindSample<'a>
+where
+    I::Payload: PartialEq,
+{
+    KindSample {
+        kind,
+        path: store.path_for(id),
+        save: Box::new(move || store.save(id, value).unwrap()),
+        load: Box::new(move || match store.load(id) {
+            LoadOutcome::Hit(back) => LoadOutcome::Hit(Box::new(*back == *value)),
+            LoadOutcome::Miss => LoadOutcome::Miss,
+            LoadOutcome::Reject(why) => LoadOutcome::Reject(why),
+            LoadOutcome::IoError(why) => LoadOutcome::IoError(why),
+        }),
+    }
+}
+
+#[test]
+fn every_kind_round_trips_and_no_kind_loads_another() {
+    let (block_id, log) = captured_vadd();
+    let (risc_id, trace) = captured_vadd_risc();
+    let (bbv_id, art) = fitted_vadd_bbv(&block_id, &log);
+    let (lp_id, set) = captured_vadd_livepoints(&block_id, &log, &art);
+    for a in 0..4 {
+        for b in 0..4 {
+            let dir = tmp_dir("kind-matrix");
+            let store = TraceStore::open(&dir).unwrap();
+            let samples = [
+                kind_sample("block trace", &store, &block_id, &log),
+                kind_sample("RISC stream", &store, &risc_id, &trace),
+                kind_sample("phase artifact", &store, &bbv_id, &art),
+                kind_sample("live-point set", &store, &lp_id, &set),
+            ];
+            let (src, dst) = (&samples[a], &samples[b]);
+            (src.save)();
+            if a == b {
+                assert!(
+                    matches!((src.load)(), LoadOutcome::Hit(equal) if *equal),
+                    "a {} must round-trip bit-equal",
+                    src.kind
+                );
+                continue;
+            }
+            let bytes = std::fs::read(&src.path).unwrap();
+            std::fs::copy(&src.path, &dst.path).unwrap();
+            assert!(
+                matches!((dst.load)(), LoadOutcome::Reject(_)),
+                "a {} container under a {} key must reject",
+                src.kind,
+                dst.kind
+            );
+            let name = dst.path.file_name().unwrap().to_string_lossy().into_owned();
+            let qdir = dir.join(QUARANTINE_DIR);
+            assert!(!dst.path.exists(), "the impostor must leave the key");
+            assert_eq!(
+                std::fs::read(qdir.join(&name)).unwrap(),
+                bytes,
+                "the impostor is quarantined, never unlinked"
+            );
+            assert!(qdir.join(format!("{name}.reason")).exists());
+            assert!(src.path.exists(), "the source container is untouched");
+        }
+    }
 }
