@@ -586,6 +586,11 @@ fn replay_err(e: impl fmt::Display) -> EngineError {
 
 /// Replays each measured window of `plan` from its restored checkpoint,
 /// as independent jobs on `threads` pool workers.
+///
+/// A job on a spawned worker has no row cost scope, so it opens its own
+/// and hands the cost back for the calling row to absorb; a job running
+/// on the row's own thread (one worker) records into the row directly —
+/// opening a scope there would reset the row's.
 fn replay_windows<S: Sync, W: Send, E: fmt::Display + Send>(
     core: &str,
     plan: &PhasePlan,
@@ -596,11 +601,21 @@ fn replay_windows<S: Sync, W: Send, E: fmt::Display + Send>(
     let _span = trips_obs::span_with("session.replay_windows", || {
         format!("{core} n={}", snaps.len())
     });
+    let row = trips_obs::cost::active();
     let jobs: Vec<_> = plan.windows.iter().copied().zip(snaps).collect();
-    crate::pool::parallel_map(jobs, threads, |(window, snap)| replay(&window, snap))
-        .into_iter()
-        .map(|res| res.map_err(replay_err))
-        .collect()
+    crate::pool::parallel_map(jobs, threads, |(window, snap)| {
+        let scope = (row && !trips_obs::cost::active()).then(trips_obs::cost::begin_row);
+        let res = replay(&window, snap);
+        (res, scope.map(trips_obs::RowScope::finish))
+    })
+    .into_iter()
+    .map(|(res, cost)| {
+        if let Some(cost) = cost {
+            trips_obs::cost::absorb_job(&cost);
+        }
+        res.map_err(replay_err)
+    })
+    .collect()
 }
 
 impl Session {

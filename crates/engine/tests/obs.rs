@@ -11,7 +11,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use trips_compiler::CompileOptions;
 use trips_engine::sweep::to_csv;
 use trips_engine::{
-    run_sweep, CacheStats, PhaseK, PhaseSpec, ReplayMode, Session, SweepSpec, TraceStore,
+    run_sweep, BackendSpec, CacheStats, ConfigVariant, PhaseK, PhaseSpec, ReplayMode, Session,
+    SweepSpec, TraceStore,
 };
 use trips_workloads::{by_name, Scale};
 
@@ -254,6 +255,52 @@ fn every_disk_tier_counter_matches_its_metric_series_cold_and_warm() {
         assert!(
             hits > 0,
             "the warm {tier} tier never hit the disk: {warm:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn warm_live_point_rows_count_their_window_jobs_at_two_threads() {
+    // With two threads the window jobs run on spawned pool workers, which
+    // have no row cost scope of their own: their restore and replay time
+    // must still land in the row that asked for them.
+    let _serial = serial();
+    let store_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("obs-window-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    // `conv` at Ref scale classifies under the default phase specs of
+    // both cores, so each row's plan has several windows.
+    let spec = SweepSpec {
+        workloads: vec!["conv".into()],
+        scale: Scale::Ref,
+        configs: vec![ConfigVariant::prototype()],
+        backends: vec![BackendSpec::Trips, BackendSpec::Ooo("core2".into())],
+        phase: Some(PhaseK::Auto),
+        live_points: true,
+        threads: 2,
+        ..SweepSpec::default()
+    };
+    let sweep = || {
+        let session = Session::with_store(TraceStore::open(&store_dir).expect("open store"));
+        let report = run_sweep(&spec, &session).unwrap();
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        (report.rows, session.cache_stats())
+    };
+    let (_, cold) = sweep();
+    assert!(cold.livepoint_captures > 0, "{cold:?}");
+    let (rows, warm) = sweep();
+    assert_eq!(warm.livepoint_captures, 0, "{warm:?}");
+    assert!(warm.livepoint_disk_hits > 0, "{warm:?}");
+    let live: Vec<_> = rows.iter().filter(|r| r.phase_k > 0).collect();
+    assert_eq!(live.len(), 2, "both cores must take the live-point path");
+    for r in live {
+        assert!(
+            r.cost.detailed_ns > 0 && r.cost.checkpoint_restore_ns > 0,
+            "{} {}: window job time missing from the row: {:?}",
+            r.workload,
+            r.backend,
+            r.cost
         );
     }
     let _ = std::fs::remove_dir_all(&store_dir);

@@ -361,14 +361,6 @@ fn ooo_run(
         .clone()
 }
 
-/// Simulates a compiled program on the TRIPS prototype configuration
-/// (direct, uncached; see [`trips_cycles_for`] for the engine path).
-pub fn trips_cycles(compiled: &CompiledProgram) -> SimStats {
-    trips_sim::timing::simulate_with_budget(compiled, &TripsConfig::prototype(), MEM, SIM_BUDGET)
-        .map(|r| r.stats)
-        .unwrap_or_else(|e| panic!("sim: {e}"))
-}
-
 /// TRIPS cycle-level statistics via the engine: the workload's functional
 /// trace is captured once (memoized) and replayed against `cfg`.
 pub fn trips_cycles_cfg(w: &Workload, scale: Scale, hand: bool, cfg: &TripsConfig) -> SimStats {
@@ -415,27 +407,14 @@ pub fn measure_perf(w: &Workload, scale: Scale, include_hand: bool) -> PerfMeasu
 /// SIM-budget trace captures), so a cycle-level figure's measurement loop
 /// only replays.
 pub fn prewarm(ws: &[Workload], scale: Scale, hand_too: bool) {
-    prewarm_with(ws, hand_too, |w, hand| {
-        let _ = Session::global().trace(w, scale, &trips_preset(hand), hand, MEM, SIM_BUDGET);
-    });
-}
-
-/// Fills the session caches for the ISA figures (compiles plus FUNC-budget
-/// functional runs; no trace streams are retained).
-pub fn prewarm_isa(ws: &[Workload], scale: Scale, hand_too: bool) {
-    prewarm_with(ws, hand_too, |w, hand| {
-        let _ =
-            Session::global().isa_outcome(w, scale, &trips_preset(hand), hand, MEM, FUNC_BUDGET);
-    });
-}
-
-fn prewarm_with(ws: &[Workload], hand_too: bool, fill: impl Fn(&Workload, bool) + Sync) {
     let mut jobs: Vec<(Workload, bool)> = ws.iter().map(|w| (w.clone(), false)).collect();
     if hand_too {
         jobs.extend(ws.iter().map(|w| (w.clone(), true)));
     }
     // Failures surface (with context) when the figure actually measures.
-    trips_engine::parallel_map(jobs, 0, |(w, hand)| fill(&w, hand));
+    trips_engine::parallel_map(jobs, 0, |(w, hand)| {
+        let _ = Session::global().trace(&w, scale, &trips_preset(hand), hand, MEM, SIM_BUDGET);
+    });
 }
 
 /// The sampling plan the accuracy harness (and the CI gate) uses on the
@@ -458,10 +437,10 @@ pub const TRIPS_SAMPLE_FLOOR: u64 = 2048;
 /// mini-period. The OoO model's event-driven retirement clock is spikier
 /// than the TRIPS commit clock (one DRAM miss moves it by a full memory
 /// latency); metering windows on the issue-attributed smoothed clock
-/// (see `time_events_mode`) keeps in-flight DRAM tails out of whichever
-/// window happens to be open, tightening the per-workload bound from
-/// ~±4.2% to ≤3.3% (±0.2% in aggregate) on the bundled workloads at Ref
-/// scale.
+/// (see the replay driver in `trips_ooo::model`) keeps in-flight DRAM
+/// tails out of whichever window happens to be open, tightening the
+/// per-workload bound from ~±4.2% to ≤3.3% (±0.2% in aggregate) on the
+/// bundled workloads at Ref scale.
 pub fn ooo_accuracy_plan() -> SamplePlan {
     SamplePlan::new(64, 384, 1024).expect("static plan is valid")
 }

@@ -233,6 +233,20 @@ pub fn set_tier(tier: &str) {
     });
 }
 
+/// Folds the cost a job collected in a scope of its own (on a pool worker
+/// with no row of its own) into this thread's active row; no-op without
+/// one. The row keeps its own queue latency: the job's wait in the pool
+/// overlaps the row's wall-clock instead of adding to it.
+pub fn absorb_job(job: &RowCost) {
+    ACTIVE.with(|a| {
+        if let Some(c) = a.borrow_mut().as_mut() {
+            let queue_ns = c.queue_ns;
+            c.absorb(job);
+            c.queue_ns = queue_ns;
+        }
+    });
+}
+
 /// Called by the pool just before running a dequeued job: stashes the
 /// job's queue latency for the next [`begin_row`] on this thread.
 #[inline]
@@ -399,6 +413,30 @@ mod tests {
         assert_eq!(stable.detailed_ns, 0);
         assert_eq!(stable.store_read_bytes, 7);
         assert_eq!(stable.tier, "capture");
+    }
+
+    #[test]
+    fn a_job_scope_lands_in_the_row_without_its_queue_wait() {
+        note_queue_ns(5);
+        let row = begin_row();
+        // What a window job on a scope-less worker collects.
+        let job = std::thread::spawn(|| {
+            assert!(!active());
+            note_queue_ns(1000);
+            let scope = begin_row();
+            add_ns(CostKind::Detailed, 30);
+            add_ns(CostKind::CheckpointRestore, 4);
+            scope.finish()
+        })
+        .join()
+        .unwrap();
+        add_ns(CostKind::Detailed, 2);
+        absorb_job(&job);
+        let cost = row.finish();
+        assert_eq!(cost.detailed_ns, 32);
+        assert_eq!(cost.checkpoint_restore_ns, 4);
+        assert_eq!(cost.queue_ns, 5, "the row keeps its own queue latency");
+        absorb_job(&job); // no active scope: nothing to fold into
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //!
 //! The source may be a live functional machine ([`run_timed`]) or a
 //! recorded [`RiscTrace`] ([`run_timed_trace`]); both feed the same
-//! [`time_events`] core, so replayed timing is bit-identical to
+//! private replay driver, so replayed timing is bit-identical to
 //! execution-driven timing by construction — one capture serves every
-//! configuration.
+//! configuration. The live-point capture pass
+//! ([`run_ooo_phased_capture`]) is that driver plus a snapshot hook.
 //!
 //! The core itself has two per-event paths, selected by a
-//! [`trips_sample::ReplayMode`] ([`time_events_mode`]): the detailed
+//! [`trips_sample::ReplayMode`] ([`run_timed_trace_mode`]): the detailed
 //! pipeline model, and a fast-forward path that advances the event source
 //! while touching only the caches and the branch predictor (functional
 //! warming, no cycle accounting). A [`trips_sample::SamplePlan`]
@@ -26,7 +27,7 @@ use std::collections::HashMap;
 use trips_ir::Program;
 use trips_risc::exec::{CtrlKind, EventSource, MachineSource, RiscError, StepEvent};
 use trips_risc::{CursorState, RCat, RProgram, RiscTrace};
-use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode};
+use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, Schedule};
 
 /// Timing statistics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +75,17 @@ impl OooStats {
         self.l1_misses += w.l1_misses;
         self.l2_misses += w.l2_misses;
         self.l1_accesses += w.l1_accesses;
+    }
+
+    /// Sets the clock-derived fields from a sampling schedule's summary:
+    /// the measured-window cycles (timed warmup advanced the clock but is
+    /// not part of the sample) and their whole-run extrapolation.
+    fn apply_summary(&mut self, s: &SampleSummary) {
+        debug_assert_eq!(s.measured_units, self.insts);
+        self.sampled = true;
+        self.total_insts = s.total_units;
+        self.cycles = s.measured_cycles.max(u64::from(self.insts > 0));
+        self.est_cycles = s.est_cycles.max(self.cycles);
     }
 
     /// Instructions per cycle. For a sampled run this is the whole-run
@@ -341,7 +353,7 @@ struct OooState {
     retire_ring: Vec<u64>,
     last_retire: u64,
     /// The smoothed accounting clock sampled windows are metered on (see
-    /// the comment in [`time_events_mode`]).
+    /// the comment in the replay driver, `drive`).
     acct: u64,
     idx: u64,
 }
@@ -624,14 +636,14 @@ pub fn run_timed(
     step_limit: u64,
 ) -> Result<OooResult, RiscError> {
     let mut src = MachineSource::new(rp, ir, mem_size, step_limit);
-    time_events(rp, &mut src, cfg)
+    drive(rp, cfg, &mut src, None, |_, _, _| {})
 }
 
 /// Times a recorded RISC event stream on the configured reference machine:
 /// the sweep's hot path — one functional execution, N of these.
 ///
 /// The resulting [`OooStats`] are bit-identical to [`run_timed`] over the
-/// same program, because both sources feed the same [`time_events`] core.
+/// same program, because both sources feed the same replay driver.
 ///
 /// # Errors
 /// [`RiscError::Trace`] if the stream is malformed or disagrees with `rp`
@@ -641,38 +653,11 @@ pub fn run_timed_trace(
     trace: &RiscTrace,
     cfg: &OooConfig,
 ) -> Result<OooResult, RiscError> {
-    let mut src = trace.cursor(rp);
-    time_events(rp, &mut src, cfg)
+    run_timed_trace_mode(rp, trace, cfg, &ReplayMode::Full)
 }
 
 /// [`run_timed_trace`] under an explicit [`ReplayMode`] — the sampled
 /// sweep's hot path.
-///
-/// # Errors
-/// See [`run_timed_trace`].
-pub fn run_timed_trace_mode(
-    rp: &RProgram,
-    trace: &RiscTrace,
-    cfg: &OooConfig,
-    mode: &ReplayMode,
-) -> Result<OooResult, RiscError> {
-    let mut src = trace.cursor(rp);
-    time_events_mode(rp, &mut src, cfg, mode)
-}
-
-/// The timing core: assigns cycles to whatever event stream `src` yields.
-///
-/// # Errors
-/// Whatever the source raises ([`RiscError`]).
-pub fn time_events(
-    rp: &RProgram,
-    src: &mut impl EventSource,
-    cfg: &OooConfig,
-) -> Result<OooResult, RiscError> {
-    time_events_mode(rp, src, cfg, &ReplayMode::Full)
-}
-
-/// [`time_events`] under an explicit [`ReplayMode`].
 ///
 /// `Full` (and any plan that measures everything) is the bit-exact
 /// detailed path. A sampling plan alternates three per-instruction paths
@@ -685,31 +670,30 @@ pub fn time_events(
 /// extrapolated over the stream ([`OooStats::est_cycles`]).
 ///
 /// # Errors
-/// Whatever the source raises ([`RiscError`]).
-pub fn time_events_mode(
+/// See [`run_timed_trace`]; also a phase plan fitted to another stream.
+pub fn run_timed_trace_mode(
     rp: &RProgram,
-    src: &mut impl EventSource,
+    trace: &RiscTrace,
     cfg: &OooConfig,
     mode: &ReplayMode,
 ) -> Result<OooResult, RiscError> {
-    // The schedule (systematic sampler or fitted phase plan) meters
-    // measurement windows and keeps the extrapolation bookkeeping. It
-    // needs the stream extent up front (windows are positioned from the
-    // end), which only a recorded source knows.
-    let mut sampler = if mode.is_full() {
-        None
-    } else {
-        match src.len_hint() {
-            Some(total) => mode.schedule(total).map_err(RiscError::Trace)?,
-            None => {
-                return Err(RiscError::Trace(
-                    "interval-sampled timing needs a recorded stream (live sources have no \
-                     length)"
-                        .into(),
-                ))
-            }
-        }
-    };
+    let sched = mode
+        .schedule(trace.header.dynamic_insts)
+        .map_err(RiscError::Trace)?;
+    drive(rp, cfg, &mut trace.cursor(rp), sched, |_, _, _| {})
+}
+
+/// The replay driver every sequential entry point shares: walks `src`
+/// through the optional schedule (`None` times every instruction in
+/// detail), calling `at_unit` with the machine before each stream unit —
+/// the live-point capture hook.
+fn drive<S: EventSource>(
+    rp: &RProgram,
+    cfg: &OooConfig,
+    src: &mut S,
+    mut sched: Option<Schedule>,
+    mut at_unit: impl FnMut(u64, &OooState, &S),
+) -> Result<OooResult, RiscError> {
     let mut total: u64 = 0;
     let mut stats = OooStats::default();
     let mut st = OooState::new(cfg);
@@ -735,26 +719,33 @@ pub fn time_events_mode(
     // otherwise a single predictable branch (see trips_obs::SegmentTimer).
     let replay_start = std::time::Instant::now();
     let mut seg = trips_obs::SegmentTimer::new();
-
-    while let Some(ev) = src.next_event()? {
-        let phase = sampler
+    loop {
+        at_unit(total, &st, src);
+        let Some(ev) = src.next_event()? else {
+            break;
+        };
+        total += 1;
+        let phase = sched
             .as_mut()
             .map_or(Phase::Detailed, |s| s.advance(st.acct));
-        seg.switch(match phase {
-            Phase::Detailed => trips_obs::CostKind::Detailed,
-            _ => trips_obs::CostKind::Warm,
-        });
-        total += 1;
-        if phase == Phase::Warm {
-            st.warm(&ev);
-            continue;
+        match phase {
+            Phase::Warm => {
+                seg.switch(trips_obs::CostKind::Warm);
+                st.warm(&ev);
+            }
+            // TimedWarm runs the full pipeline model with its counters
+            // discarded, refilling in-flight state so the next window
+            // measures a busy machine.
+            Phase::TimedWarm => {
+                seg.switch(trips_obs::CostKind::Warm);
+                st.step(rp, cfg, &ev, false, &mut stats);
+            }
+            Phase::Detailed => {
+                seg.switch(trips_obs::CostKind::Detailed);
+                st.step(rp, cfg, &ev, true, &mut stats);
+            }
         }
-        // TimedWarm and Detailed both run the full pipeline model;
-        // TimedWarm discards the counters (`counting` is false), refilling
-        // in-flight state so the next window measures a busy machine.
-        st.step(rp, cfg, &ev, phase == Phase::Detailed, &mut stats);
     }
-
     seg.finish();
     // Per-backend replay throughput telemetry: O(1) per replay call.
     trips_obs::counter("replay_events_total{core=\"ooo\"}").inc(total);
@@ -763,20 +754,15 @@ pub fn time_events_mode(
         trips_obs::histogram("replay_events_per_sec{core=\"ooo\"}")
             .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
     }
-    stats.total_insts = total;
-    stats.est_cycles = if let Some(sampler) = sampler {
+    if let Some(sched) = sched {
         let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-        let s = sampler.finish(st.acct);
+        let summary = sched.finish(st.acct);
         drop(timed);
-        debug_assert_eq!(s.measured_units, stats.insts);
-        stats.sampled = true;
-        // Measured-window cycles only: timed warmup advanced the clock but
-        // is not part of the sample.
-        stats.cycles = s.measured_cycles.max(u64::from(stats.insts > 0));
-        s.est_cycles.max(stats.cycles)
+        stats.apply_summary(&summary);
     } else {
-        stats.cycles
-    };
+        stats.total_insts = total;
+        stats.est_cycles = stats.cycles;
+    }
     Ok(OooResult {
         return_value: src.return_value(),
         stats,
@@ -811,70 +797,25 @@ pub fn run_ooo_phased_capture(
     cfg: &OooConfig,
     plan: &PhasePlan,
 ) -> Result<(OooResult, Vec<OooSnapshot>), RiscError> {
-    let total_units = trace.header.dynamic_insts;
     let mode = ReplayMode::Phased(plan.clone());
-    let Some(mut sched) = mode.schedule(total_units).map_err(RiscError::Trace)? else {
+    let Some(sched) = mode
+        .schedule(trace.header.dynamic_insts)
+        .map_err(RiscError::Trace)?
+    else {
         return Err(RiscError::Trace(
             "phase plan covers everything: no warmed prefix to checkpoint".into(),
         ));
     };
-    let replay_start = std::time::Instant::now();
-    let mut cursor = trace.cursor(rp);
-    let mut st = OooState::new(cfg);
-    let mut stats = OooStats::default();
     let mut snaps: Vec<OooSnapshot> = Vec::with_capacity(plan.windows.len());
-    let mut total: u64 = 0;
-    let mut seg = trips_obs::SegmentTimer::new();
-    loop {
-        if snaps.len() < plan.windows.len() && total == plan.windows[snaps.len()].warm_start {
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointSave);
-            snaps.push(st.snapshot(total, cursor.state()));
-            drop(timed);
+    let mut cursor = trace.cursor(rp);
+    let res = drive(rp, cfg, &mut cursor, Some(sched), |unit, st, src| {
+        if plan.windows.get(snaps.len()).map(|w| w.warm_start) == Some(unit) {
+            let _timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointSave);
+            snaps.push(st.snapshot(unit, src.state()));
         }
-        let Some(ev) = cursor.next_event()? else {
-            break;
-        };
-        total += 1;
-        match sched.advance(st.acct) {
-            Phase::Warm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                st.warm(&ev);
-            }
-            Phase::TimedWarm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                st.step(rp, cfg, &ev, false, &mut stats);
-            }
-            Phase::Detailed => {
-                seg.switch(trips_obs::CostKind::Detailed);
-                st.step(rp, cfg, &ev, true, &mut stats);
-            }
-        }
-    }
-    seg.finish();
+    })?;
     debug_assert_eq!(snaps.len(), plan.windows.len());
-    trips_obs::counter("replay_events_total{core=\"ooo\"}").inc(total);
-    let elapsed_ns = replay_start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && total > 0 {
-        trips_obs::histogram("replay_events_per_sec{core=\"ooo\"}")
-            .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
-    stats.total_insts = total;
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let s = sched.finish(st.acct);
-    drop(timed);
-    debug_assert_eq!(s.measured_units, stats.insts);
-    stats.sampled = true;
-    // Measured-window cycles only: timed warmup advanced the clock but is
-    // not part of the sample.
-    stats.cycles = s.measured_cycles.max(u64::from(stats.insts > 0));
-    stats.est_cycles = s.est_cycles.max(stats.cycles);
-    Ok((
-        OooResult {
-            return_value: cursor.return_value(),
-            stats,
-        },
-        snaps,
-    ))
+    Ok((res, snaps))
 }
 
 /// Replays one phase window from its live-point: restore, run the
@@ -943,31 +884,15 @@ pub fn assemble_ooo_phased(
     plan: &PhasePlan,
     windows: &[OooWindowMeasure],
 ) -> Result<OooResult, RiscError> {
-    if windows.len() != plan.windows.len() {
-        return Err(RiscError::Trace(format!(
-            "phase plan has {} windows but {} were measured",
-            plan.windows.len(),
-            windows.len()
-        )));
-    }
     let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let closed: Vec<(u64, u64, u64)> = plan
-        .windows
-        .iter()
-        .zip(windows)
-        .map(|(w, m)| (m.cycles, m.units, w.weight_units))
-        .collect();
-    let summary = trips_sample::assemble_phased(plan.total_units, &closed);
+    let measured: Vec<(u64, u64)> = windows.iter().map(|m| (m.cycles, m.units)).collect();
+    let summary = trips_sample::assemble_phased(plan, &measured).map_err(RiscError::Trace)?;
     let mut stats = OooStats::default();
     for m in windows {
         stats.absorb_measured(&m.stats);
     }
+    stats.apply_summary(&summary);
     drop(timed);
-    debug_assert_eq!(summary.measured_units, stats.insts);
-    stats.sampled = true;
-    stats.total_insts = summary.total_units;
-    stats.cycles = summary.measured_cycles.max(u64::from(stats.insts > 0));
-    stats.est_cycles = summary.est_cycles.max(stats.cycles);
     Ok(OooResult {
         return_value: trace.return_value,
         stats,

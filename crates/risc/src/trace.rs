@@ -538,10 +538,6 @@ impl EventSource for TraceCursor<'_> {
     fn return_value(&self) -> u64 {
         self.trace.return_value
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.trace.header.dynamic_insts)
-    }
 }
 
 #[cfg(test)]

@@ -735,17 +735,32 @@ fn phased_summary(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary
 }
 
 /// Assembles independently measured phase windows into the whole-run
-/// summary a sequential [`PhasedSampler`] drive would have produced — the
-/// reduction step of live-point parallel replay. `closed` holds one
-/// `(cycles, measured units, weight units)` triple per plan window, in
-/// window order; the math (and the sampling telemetry it bumps) is shared
-/// with [`PhasedSampler::finish`], so the two paths cannot drift.
-#[must_use]
-pub fn assemble_phased(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary {
-    let summary = phased_summary(total_units, closed);
+/// summary a sequential [`PhasedSampler`] drive of `plan` would have
+/// produced — the reduction step of live-point parallel replay. `measured`
+/// holds one `(cycles, measured units)` pair per plan window, in window
+/// order; each is weighted by its window's population, and the math (and
+/// the sampling telemetry it bumps) is shared with
+/// [`PhasedSampler::finish`], so the two paths cannot drift.
+///
+/// # Errors
+/// The measurement count does not match the plan's window count.
+pub fn assemble_phased(plan: &PhasePlan, measured: &[(u64, u64)]) -> Result<SampleSummary, String> {
+    if measured.len() != plan.windows.len() {
+        return Err(format!(
+            "{} window measurements for a {}-window plan",
+            measured.len(),
+            plan.windows.len()
+        ));
+    }
+    let closed: Vec<(u64, u64, u64)> = measured
+        .iter()
+        .zip(&plan.windows)
+        .map(|(&(cycles, units), w)| (cycles, units, w.weight_units))
+        .collect();
+    let summary = phased_summary(plan.total_units, &closed);
     trips_obs::counter("sample_measured_units_total{kind=\"phase\"}").inc(summary.measured_units);
     trips_obs::counter("sample_stream_units_total{kind=\"phase\"}").inc(summary.total_units);
-    summary
+    Ok(summary)
 }
 
 /// The unified schedule driver behind a sampled [`ReplayMode`]: both
@@ -1086,7 +1101,7 @@ mod tests {
 
     #[test]
     fn assemble_phased_matches_sequential_finish() {
-        // Independently measured per-window triples (the parallel replay's
+        // Independently measured per-window pairs (the parallel replay's
         // view) must assemble into exactly the summary a sequential drive
         // produces, for a phase-dependent cost model.
         let plan = tiny_phase_plan();
@@ -1100,18 +1115,13 @@ mod tests {
             }
         }
         let sequential = s.finish(clock);
-        let closed: Vec<(u64, u64, u64)> = plan
+        let measured: Vec<(u64, u64)> = plan
             .windows
             .iter()
-            .map(|w| {
-                (
-                    (w.detail_start..w.end).map(cost).sum(),
-                    w.detailed_units(),
-                    w.weight_units,
-                )
-            })
+            .map(|w| ((w.detail_start..w.end).map(cost).sum(), w.detailed_units()))
             .collect();
-        assert_eq!(assemble_phased(plan.total_units, &closed), sequential);
+        assert_eq!(assemble_phased(&plan, &measured), Ok(sequential));
+        assert!(assemble_phased(&plan, &measured[1..]).is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::opn::OpnStats;
 use crate::predictor::PredictorStats;
 use serde::{Deserialize, Serialize};
 use trips_isa::IsaStats;
+use trips_sample::SampleSummary;
 
 /// Everything the experiments need from a timing run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -99,6 +100,18 @@ impl SimStats {
         self.l2_bytes += w.l2_bytes;
         self.dram_bytes += w.dram_bytes;
         self.bank_conflict_cycles += w.bank_conflict_cycles;
+    }
+
+    /// Sets the clock-derived fields from a sampling schedule's summary:
+    /// the measured-window cycles (timed warmup advanced the clock but is
+    /// not part of the sample) and their whole-run extrapolation.
+    pub(crate) fn apply_summary(&mut self, s: &SampleSummary) {
+        debug_assert_eq!(s.measured_units, self.blocks);
+        self.sampled = true;
+        self.detailed_units = self.blocks;
+        self.total_units = s.total_units;
+        self.cycles = s.measured_cycles.max(u64::from(self.blocks > 0));
+        self.est_cycles = s.est_cycles.max(self.cycles);
     }
 
     /// The cycle count IPC rates divide by: the whole-run estimate. The

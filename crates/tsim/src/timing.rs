@@ -42,7 +42,7 @@ use trips_ir::Program;
 use trips_isa::block::ExitTarget;
 use trips_isa::interp::{BlockTrace, TraceSrc, TripsExecError};
 use trips_isa::{TOpcode, TraceLog};
-use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode};
+use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode, Schedule};
 
 /// Simulation failures (functional execution errors surface unchanged).
 #[derive(Debug)]
@@ -152,30 +152,46 @@ pub fn replay_trace_mode(
     mode: &ReplayMode,
 ) -> Result<SimResult, SimError> {
     log.validate(&compiled.trips).map_err(SimError::Trace)?;
+    let sched = mode
+        .schedule(log.seq.len() as u64)
+        .map_err(SimError::Trace)?;
+    Ok(drive(compiled, cfg, log, sched, |_, _| {}))
+}
+
+/// The replay driver every sequential entry point shares: walks the
+/// (validated) log through the optional schedule, calling `at_unit` with
+/// the machine before each scheduled block — the live-point capture hook.
+/// With no schedule every block is timed in detail.
+fn drive(
+    compiled: &CompiledProgram,
+    cfg: &TripsConfig,
+    log: &TraceLog,
+    sched: Option<Schedule>,
+    mut at_unit: impl FnMut(u64, &Timing<'_>),
+) -> SimResult {
     let replay_start = std::time::Instant::now();
     let mut t = Timing::new(compiled, cfg);
-    let mut summary = None;
-    match mode
-        .schedule(log.seq.len() as u64)
-        .map_err(SimError::Trace)?
-    {
+    let summary = match sched {
         // Full replay: the untouched hot path — per-row cost attribution
         // (when a sweep scope is active) brackets the whole loop, adding
         // nothing per block.
         None => {
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Detailed);
+            let _timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Detailed);
             log.replay(|bidx, trace| t.time_block(bidx, trace));
-            drop(timed);
+            None
         }
+        // The schedule (systematic sampler or fitted phase plan) meters
+        // measurement windows on the commit clock and keeps the
+        // extrapolation bookkeeping. Cost segments are timed on phase
+        // *transitions* only (one enum compare per block when a sweep cost
+        // scope is active, one predictable branch otherwise).
         Some(mut sched) => {
-            // The schedule (systematic sampler or fitted phase plan)
-            // meters measurement windows on the commit clock and keeps
-            // the extrapolation bookkeeping. Cost segments are timed on
-            // phase *transitions* only (one enum compare per block when
-            // a sweep cost scope is active, nothing otherwise).
             let mut seg = trips_obs::SegmentTimer::new();
-            if seg.enabled() {
-                log.replay(|bidx, trace| match sched.advance(t.last_commit) {
+            let mut unit: u64 = 0;
+            log.replay(|bidx, trace| {
+                at_unit(unit, &t);
+                unit += 1;
+                match sched.advance(t.last_commit) {
                     Phase::Warm => {
                         seg.switch(trips_obs::CostKind::Warm);
                         t.warm_block(bidx, trace);
@@ -188,28 +204,17 @@ pub fn replay_trace_mode(
                         seg.switch(trips_obs::CostKind::Detailed);
                         t.time_block(bidx, trace);
                     }
-                });
-            } else {
-                log.replay(|bidx, trace| match sched.advance(t.last_commit) {
-                    Phase::Warm => t.warm_block(bidx, trace),
-                    Phase::TimedWarm => t.time_block_discarded(bidx, trace),
-                    Phase::Detailed => t.time_block(bidx, trace),
-                });
-            }
+                }
+            });
             seg.finish();
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-            summary = Some(sched.finish(t.last_commit));
-            drop(timed);
+            let _timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
+            Some(sched.finish(t.last_commit))
         }
-    }
+    };
     let mut stats = t.finish();
     stats.isa = log.stats.clone();
     if let Some(s) = summary {
-        debug_assert_eq!(s.measured_units, stats.blocks);
-        stats.sampled = true;
-        stats.total_units = s.total_units;
-        stats.cycles = s.measured_cycles.max(u64::from(stats.blocks > 0));
-        stats.est_cycles = s.est_cycles.max(stats.cycles);
+        stats.apply_summary(&s);
     }
     // Per-backend replay throughput telemetry: O(1) per replay call.
     let units = log.seq.len() as u64;
@@ -219,10 +224,10 @@ pub fn replay_trace_mode(
         trips_obs::histogram("replay_events_per_sec{core=\"trips\"}")
             .observe(units.saturating_mul(1_000_000_000) / elapsed_ns);
     }
-    Ok(SimResult {
+    SimResult {
         return_value: log.return_value,
         stats,
-    })
+    }
 }
 
 /// The pending control transfer awaiting the next block id, in
@@ -303,65 +308,24 @@ pub fn replay_trace_phased_capture(
     plan: &PhasePlan,
 ) -> Result<(SimResult, Vec<TsimSnapshot>), SimError> {
     log.validate(&compiled.trips).map_err(SimError::Trace)?;
-    let total = log.seq.len() as u64;
     let mode = ReplayMode::Phased(plan.clone());
-    let Some(mut sched) = mode.schedule(total).map_err(SimError::Trace)? else {
+    let Some(sched) = mode
+        .schedule(log.seq.len() as u64)
+        .map_err(SimError::Trace)?
+    else {
         return Err(SimError::Trace(
             "phase plan covers everything: no warmed prefix to checkpoint".into(),
         ));
     };
-    let replay_start = std::time::Instant::now();
-    let mut t = Timing::new(compiled, cfg);
     let mut snaps: Vec<TsimSnapshot> = Vec::with_capacity(plan.windows.len());
-    let mut unit: u64 = 0;
-    let mut seg = trips_obs::SegmentTimer::new();
-    log.replay(|bidx, trace| {
-        if snaps.len() < plan.windows.len() && unit == plan.windows[snaps.len()].warm_start {
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointSave);
+    let res = drive(compiled, cfg, log, Some(sched), |unit, t| {
+        if plan.windows.get(snaps.len()).map(|w| w.warm_start) == Some(unit) {
+            let _timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointSave);
             snaps.push(t.snapshot(unit));
-            drop(timed);
-        }
-        unit += 1;
-        match sched.advance(t.last_commit) {
-            Phase::Warm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                t.warm_block(bidx, trace);
-            }
-            Phase::TimedWarm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                t.time_block_discarded(bidx, trace);
-            }
-            Phase::Detailed => {
-                seg.switch(trips_obs::CostKind::Detailed);
-                t.time_block(bidx, trace);
-            }
         }
     });
-    seg.finish();
     debug_assert_eq!(snaps.len(), plan.windows.len());
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let summary = sched.finish(t.last_commit);
-    drop(timed);
-    let mut stats = t.finish();
-    stats.isa = log.stats.clone();
-    debug_assert_eq!(summary.measured_units, stats.blocks);
-    stats.sampled = true;
-    stats.total_units = summary.total_units;
-    stats.cycles = summary.measured_cycles.max(u64::from(stats.blocks > 0));
-    stats.est_cycles = summary.est_cycles.max(stats.cycles);
-    trips_obs::counter("replay_events_total{core=\"trips\"}").inc(total);
-    let elapsed_ns = replay_start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && total > 0 {
-        trips_obs::histogram("replay_events_per_sec{core=\"trips\"}")
-            .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
-    Ok((
-        SimResult {
-            return_value: log.return_value,
-            stats,
-        },
-        snaps,
-    ))
+    Ok((res, snaps))
 }
 
 /// Replays one plan window from its live-point: restore, run the timed
@@ -438,30 +402,15 @@ pub fn assemble_trips_phased(
     plan: &PhasePlan,
     windows: &[TsimWindowMeasure],
 ) -> Result<SimResult, SimError> {
-    if windows.len() != plan.windows.len() {
-        return Err(SimError::Trace(format!(
-            "{} window measurements for a {}-window plan",
-            windows.len(),
-            plan.windows.len()
-        )));
-    }
     let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let closed: Vec<(u64, u64, u64)> = windows
-        .iter()
-        .zip(&plan.windows)
-        .map(|(m, w)| (m.cycles, m.units, w.weight_units))
-        .collect();
-    let summary = trips_sample::assemble_phased(plan.total_units, &closed);
+    let measured: Vec<(u64, u64)> = windows.iter().map(|m| (m.cycles, m.units)).collect();
+    let summary = trips_sample::assemble_phased(plan, &measured).map_err(SimError::Trace)?;
     let mut stats = SimStats::default();
     for m in windows {
         stats.absorb_measured(&m.stats);
     }
     stats.isa = log.stats.clone();
-    stats.sampled = true;
-    stats.detailed_units = stats.blocks;
-    stats.total_units = summary.total_units;
-    stats.cycles = summary.measured_cycles.max(u64::from(stats.blocks > 0));
-    stats.est_cycles = summary.est_cycles.max(stats.cycles);
+    stats.apply_summary(&summary);
     drop(timed);
     Ok(SimResult {
         return_value: log.return_value,

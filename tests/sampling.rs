@@ -179,19 +179,6 @@ fn sample_everything_is_bit_identical_on_every_backend() {
     }
 }
 
-#[test]
-fn sampling_a_live_machine_is_rejected() {
-    let ir = stream_program(5, 7);
-    let rp = compile_program(&ir).unwrap();
-    let mut live = trips::risc::MachineSource::new(&rp, &ir, MEM, 1_000_000);
-    let plan = SamplePlan::new(4, 4, 16).unwrap();
-    let err = ooo::time_events_mode(&rp, &mut live, &ooo::core2(), &ReplayMode::Sampled(plan));
-    assert!(
-        err.is_err(),
-        "live sources have no length to sample against"
-    );
-}
-
 /// A fast subset of the accuracy gate that runs under tier-1 `cargo test`:
 /// three Ref-scale workloads, both backends, documented bounds.
 #[test]
