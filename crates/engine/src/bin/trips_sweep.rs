@@ -570,7 +570,7 @@ fn run(
     trips_obs::log!(
         Level::Info,
         "trips-sweep",
-        "cost: capture={:.1}ms fit={:.1}ms warm={:.1}ms detailed={:.1}ms extrapolate={:.1}ms ckpt_save={:.1}ms ckpt_restore={:.1}ms queue={:.1}ms store_read={}B store_write={}B",
+        "cost: capture={:.1}ms fit={:.1}ms warm={:.1}ms detailed={:.1}ms extrapolate={:.1}ms ckpt_save={:.1}ms ckpt_restore={:.1}ms queue={:.1}ms store_read={}B store_write={}B memo_wait={:.1}ms",
         t.capture_ns as f64 / 1e6,
         t.fit_ns as f64 / 1e6,
         t.warm_ns as f64 / 1e6,
@@ -581,6 +581,7 @@ fn run(
         t.queue_ns as f64 / 1e6,
         t.store_read_bytes,
         t.store_write_bytes,
+        t.memo_wait_ns as f64 / 1e6,
     );
     if let Some(plan) = &spec.sample {
         trips_obs::log!(

@@ -65,6 +65,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use trips_compiler::{CompileOptions, CompiledProgram};
 use trips_isa::{TraceId, TraceLog, TraceMeta};
@@ -496,14 +497,33 @@ impl<K, T> Default for Memo<K, T> {
 impl<K: Clone + Eq + std::hash::Hash, T> Memo<K, T> {
     /// The artifact under `key`: `init` runs once per key, concurrent
     /// requests wait for it, and its result (failures included) is
-    /// shared — except transient failures, which are evicted.
+    /// shared — except transient failures, which are evicted. A request
+    /// that finds another caller's `init` in flight books the time it
+    /// blocks to [`trips_obs::CostKind::MemoWait`].
     fn get(
         &self,
         key: &K,
         init: impl FnOnce() -> Result<Arc<T>, EngineError>,
     ) -> Result<Arc<T>, EngineError> {
         let slot = self.slot(key);
-        let res = slot.get_or_init(init).clone();
+        let res = match slot.get() {
+            Some(res) => res.clone(),
+            None => {
+                let waited = trips_obs::cost::active().then(Instant::now);
+                let mut ran = false;
+                let res = slot
+                    .get_or_init(|| {
+                        ran = true;
+                        init()
+                    })
+                    .clone();
+                if let Some(t0) = waited.filter(|_| !ran) {
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    trips_obs::cost::add_ns(trips_obs::CostKind::MemoWait, ns);
+                }
+                res
+            }
+        };
         self.evict_transient(key, &slot, &res);
         res
     }

@@ -112,7 +112,7 @@ pub const KIND_LIVEPOINT: u32 = 4;
 /// [`trips_ooo::OooSnapshot`], the cursor state, or this wrapper): old
 /// keys then simply never match again and the census/prune path retires
 /// the files.
-pub const LIVEPOINT_VERSION: u32 = 1;
+pub const LIVEPOINT_VERSION: u32 = 2;
 
 /// Container header: magic (4) + store version (4) + kind (4) + payload
 /// version (4) + key (8) + payload hash (8) + payload length (8).

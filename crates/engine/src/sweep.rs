@@ -379,6 +379,10 @@ impl Serialize for SweepRow {
                 Value::str("store_write_bytes"),
                 serde::to_value(&self.cost.store_write_bytes),
             ),
+            (
+                Value::str("memo_wait_ns"),
+                serde::to_value(&self.cost.memo_wait_ns),
+            ),
         ];
         serializer.serialize_value(Value::Map(m))
     }
@@ -785,11 +789,11 @@ pub fn to_csv(rows: &[SweepRow]) -> String {
     // after it may differ between otherwise identical runs (timings, and
     // tier/store-bytes between cold and warm stores).
     let mut out = String::from(
-        "workload,backend,config,cycles,ipc,blocks,mispredict_flushes,load_flushes,l1d_misses,avg_window,sampled,detailed_frac,est_cycles,phase_k,status,wall_ms,tier,capture_ns,fit_ns,warm_ns,detailed_ns,extrapolate_ns,checkpoint_save_ns,checkpoint_restore_ns,queue_ns,store_read_bytes,store_write_bytes\n",
+        "workload,backend,config,cycles,ipc,blocks,mispredict_flushes,load_flushes,l1d_misses,avg_window,sampled,detailed_frac,est_cycles,phase_k,status,wall_ms,tier,capture_ns,fit_ns,warm_ns,detailed_ns,extrapolate_ns,checkpoint_save_ns,checkpoint_restore_ns,queue_ns,store_read_bytes,store_write_bytes,memo_wait_ns\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{},{},{:.4},{},{},{},{},{:.2},{},{:.4},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{}\n",
+            "{},{},{},{},{:.4},{},{},{},{},{:.2},{},{:.4},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{}\n",
             r.workload,
             r.backend,
             r.config,
@@ -816,7 +820,8 @@ pub fn to_csv(rows: &[SweepRow]) -> String {
             r.cost.checkpoint_restore_ns,
             r.cost.queue_ns,
             r.cost.store_read_bytes,
-            r.cost.store_write_bytes
+            r.cost.store_write_bytes,
+            r.cost.memo_wait_ns
         ));
     }
     out

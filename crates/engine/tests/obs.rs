@@ -305,3 +305,45 @@ fn warm_live_point_rows_count_their_window_jobs_at_two_threads() {
     }
     let _ = std::fs::remove_dir_all(&store_dir);
 }
+
+#[test]
+fn a_row_blocked_on_another_rows_capture_books_the_wait() {
+    // On a cold session both TRIPS configs need the same conv capture;
+    // at two threads one row usually blocks on the other's in-flight
+    // capture. That wait is the row's wall-clock too, so its cost columns
+    // must still cover most of `wall_ms` (before the wait had a column,
+    // the blocked row accounted for ~13% of its wall-clock).
+    let _serial = serial();
+    let spec = SweepSpec {
+        workloads: vec!["conv".into()],
+        scale: Scale::Ref,
+        backends: vec![BackendSpec::Trips, BackendSpec::Ooo("core2".into())],
+        phase: Some(PhaseK::Auto),
+        live_points: true,
+        threads: 2,
+        ..SweepSpec::default()
+    };
+    let report = run_sweep(&spec, &Session::new()).unwrap();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let trips: Vec<_> = report
+        .rows
+        .iter()
+        .filter(|r| r.backend == "trips")
+        .collect();
+    assert_eq!(trips.len(), 2, "prototype and improved");
+    for r in trips {
+        let covered_ms = r.cost.attributed_ns() as f64 / 1e6;
+        assert!(
+            covered_ms >= 0.5 * r.wall_ms,
+            "{}/{}: cost columns cover {covered_ms:.1} of {:.1} ms: {:?}",
+            r.backend,
+            r.config,
+            r.wall_ms,
+            r.cost
+        );
+    }
+    assert_eq!(
+        report.cost_totals.memo_wait_ns,
+        report.rows.iter().map(|r| r.cost.memo_wait_ns).sum::<u64>()
+    );
+}

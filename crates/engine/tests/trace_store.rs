@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use trips_compiler::CompileOptions;
 use trips_engine::cache::{code_sig, opts_sig, risc_code_sig, trips_cfg_sig};
 use trips_engine::store::{
-    plan_sig, LivePointId, LivePointSet, LivePointStates, KIND_BLOCK_TRACE, QUARANTINE_DIR,
+    plan_sig, LivePointId, LivePointSet, LivePointStates, KIND_BLOCK_TRACE, KIND_LIVEPOINT,
+    LIVEPOINT_VERSION, QUARANTINE_DIR,
 };
 use trips_engine::{
     BbvId, ContainerId, LoadOutcome, PhaseK, PhaseSpec, PruneReport, ReplayMode, RiscTraceId,
@@ -816,6 +817,95 @@ fn warm_store_serves_livepoints_to_a_fresh_session_without_rewarming() {
         "disk-restored replay must be bit-identical"
     );
     assert_eq!(a.return_value, b.return_value);
+}
+
+#[test]
+fn a_retired_livepoint_version_is_stale_and_recaptured_cleanly() {
+    // A live-point set written by the previous snapshot format sits under
+    // the key that format hashed to. The current build must count it
+    // stale, never serve or reject it, recapture beside it, and let prune
+    // remove it without quarantining anything.
+    let dir = tmp_dir("lp-retired");
+    let w = by_name("vadd").unwrap();
+    let opts = CompileOptions::o1();
+    let spec = PhaseSpec {
+        interval: 8,
+        warmup: 4,
+        k: PhaseK::Auto,
+        floor: 0,
+        rep_span: 4,
+        boundary: 1,
+        tail: 1,
+    };
+    let cfg = trips_sim::TripsConfig::prototype();
+    let run = || {
+        let s = Session::with_store(TraceStore::open(&dir).unwrap());
+        s.set_live_points(2);
+        let plan = s
+            .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
+            .unwrap();
+        let mode = ReplayMode::Phased((*plan).clone());
+        s.replayed(&w, Scale::Test, &opts, false, &cfg, MEM, BUDGET, &mode)
+            .unwrap();
+        s.cache_stats()
+    };
+    run();
+    // Turn the set just written into its previous-version twin: the same
+    // identity, hashed and labelled with the retired payload version.
+    let store = TraceStore::open(&dir).unwrap();
+    let kind_at = |b: &[u8]| u32::from_le_bytes(b[8..12].try_into().unwrap());
+    let current = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| std::fs::read(p).is_ok_and(|b| b.len() > 40 && kind_at(&b) == KIND_LIVEPOINT))
+        .expect("the cold run stored a live-point set");
+    let mut bytes = std::fs::read(&current).unwrap();
+    let set: LivePointSet = serde::bin::from_bytes(&bytes[40..]).unwrap();
+    let id = LivePointId {
+        parent_key: set.parent_key,
+        plan_sig: set.plan_sig,
+        cfg_sig: set.cfg_sig,
+        core: set.core,
+    };
+    assert_eq!(store.path_for(&id), current);
+    let retired = LIVEPOINT_VERSION - 1;
+    let mut h = trips_isa::hash::StableHasher::new();
+    h.write_str("trips.livepoint");
+    h.write_u64(u64::from(retired));
+    for x in [id.parent_key, id.plan_sig, id.cfg_sig, u64::from(id.core)] {
+        h.write_u64(x);
+    }
+    let old_key = h.finish();
+    bytes[12..16].copy_from_slice(&retired.to_le_bytes());
+    bytes[16..24].copy_from_slice(&old_key.to_le_bytes());
+    std::fs::remove_file(&current).unwrap();
+    let old_path = dir.join(format!("{old_key:016x}.trace"));
+    std::fs::write(&old_path, &bytes).unwrap();
+
+    let s = store.stats().unwrap();
+    assert_eq!((s.live_points, s.stale), (0, 1), "{s:?}");
+    assert!(matches!(store.load_livepoint(&id), LoadOutcome::Miss));
+    let st = run();
+    assert_eq!(
+        (
+            st.livepoint_captures,
+            st.livepoint_disk_misses,
+            st.livepoint_disk_rejects,
+            st.livepoint_store_writes
+        ),
+        (1, 1, 0, 1),
+        "the retired set must neither serve nor reject: {st:?}"
+    );
+    let report = store.prune_stale().unwrap();
+    assert_eq!((report.removed, report.orphaned), (1, 0), "{report:?}");
+    assert!(!old_path.exists());
+    assert!(
+        !dir.join(QUARANTINE_DIR).exists(),
+        "prune never quarantines"
+    );
+    assert!(matches!(store.load_livepoint(&id), LoadOutcome::Hit(_)));
+    let s = store.stats().unwrap();
+    assert_eq!((s.live_points, s.stale, s.quarantined), (1, 0, 0), "{s:?}");
 }
 
 #[test]

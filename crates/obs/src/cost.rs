@@ -34,6 +34,9 @@ pub enum CostKind {
     CheckpointSave,
     /// Restoring a live-point checkpoint into a timing core.
     CheckpointRestore,
+    /// Blocked on another row's in-flight production of a shared
+    /// artifact (a compile, a capture, a fit).
+    MemoWait,
 }
 
 /// Per-row cost detail attached to every `SweepRow`.
@@ -66,6 +69,9 @@ pub struct RowCost {
     pub store_read_bytes: u64,
     /// Bytes written to the trace store on behalf of this row.
     pub store_write_bytes: u64,
+    /// Nanoseconds blocked on another row's in-flight production of an
+    /// artifact this row needs.
+    pub memo_wait_ns: u64,
 }
 
 impl Default for RowCost {
@@ -82,6 +88,7 @@ impl Default for RowCost {
             queue_ns: 0,
             store_read_bytes: 0,
             store_write_bytes: 0,
+            memo_wait_ns: 0,
         }
     }
 }
@@ -107,6 +114,7 @@ impl RowCost {
             + self.extrapolate_ns
             + self.checkpoint_save_ns
             + self.checkpoint_restore_ns
+            + self.memo_wait_ns
     }
 
     /// Accumulate another row's cost into this one (report roll-ups).
@@ -124,6 +132,7 @@ impl RowCost {
         self.queue_ns += other.queue_ns;
         self.store_read_bytes += other.store_read_bytes;
         self.store_write_bytes += other.store_write_bytes;
+        self.memo_wait_ns += other.memo_wait_ns;
     }
 
     /// The row with every wall-clock field zeroed — what determinism
@@ -141,6 +150,7 @@ impl RowCost {
             queue_ns: 0,
             store_read_bytes: self.store_read_bytes,
             store_write_bytes: self.store_write_bytes,
+            memo_wait_ns: 0,
         }
     }
 }
@@ -195,6 +205,7 @@ pub fn add_ns(kind: CostKind, ns: u64) {
                 CostKind::Extrapolate => c.extrapolate_ns += ns,
                 CostKind::CheckpointSave => c.checkpoint_save_ns += ns,
                 CostKind::CheckpointRestore => c.checkpoint_restore_ns += ns,
+                CostKind::MemoWait => c.memo_wait_ns += ns,
             }
         }
     });

@@ -27,6 +27,9 @@ use std::collections::HashMap;
 use trips_ir::Program;
 use trips_risc::exec::{CtrlKind, EventSource, MachineSource, RiscError, StepEvent};
 use trips_risc::{CursorState, RCat, RProgram, RiscTrace};
+use trips_sample::sparse::{
+    delta_code, delta_decode, scatter_table, sparse_table, SparseWays, EMPTY_WAY,
+};
 use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, Schedule};
 
 /// Timing statistics of one run.
@@ -137,8 +140,10 @@ pub struct OooResult {
 /// caches model banked structures this machine doesn't have).
 struct Cache {
     sets: usize,
+    ways: usize,
     line: usize,
-    tags: Vec<Vec<(u64, u64)>>,
+    /// `(tag, last-use stamp)` per way, set-major.
+    tags: Vec<(u64, u64)>,
     stamp: u64,
 }
 
@@ -147,10 +152,20 @@ impl Cache {
         let sets = (bytes / line / ways).max(1);
         Cache {
             sets,
+            ways,
             line,
-            tags: vec![vec![(u64::MAX, 0); ways]; sets],
+            tags: vec![EMPTY_WAY; sets * ways],
             stamp: 0,
         }
+    }
+
+    fn snapshot(&self) -> SparseWays {
+        SparseWays::capture(&self.tags, self.ways, self.stamp)
+    }
+
+    fn restore(&mut self, s: &SparseWays) -> Result<(), String> {
+        self.stamp = s.restore(&mut self.tags, self.ways)?;
+        Ok(())
     }
 
     fn access(&mut self, addr: u64) -> bool {
@@ -158,19 +173,20 @@ impl Cache {
         let lineno = addr / self.line as u64;
         let set = (lineno % self.sets as u64) as usize;
         let tag = lineno / self.sets as u64;
-        for w in self.tags[set].iter_mut() {
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        for w in ways.iter_mut() {
             if w.0 == tag {
                 w.1 = self.stamp;
                 return true;
             }
         }
-        let v = self.tags[set]
+        let v = ways
             .iter()
             .enumerate()
             .min_by_key(|(_, w)| w.1)
             .map(|(i, _)| i)
             .unwrap_or(0);
-        self.tags[set][v] = (tag, self.stamp);
+        ways[v] = (tag, self.stamp);
         false
     }
 }
@@ -187,17 +203,46 @@ struct Predictor {
 }
 
 impl Predictor {
+    /// The reset value of every two-bit counter (weakly not-taken).
+    const RESET: u8 = 1;
+
     fn new(entries: usize, ras_depth: usize) -> Predictor {
         let n = entries.next_power_of_two();
         Predictor {
             mask: n - 1,
-            bim: vec![1; n],
-            gsh: vec![1; n],
-            chooser: vec![1; n],
+            bim: vec![Self::RESET; n],
+            gsh: vec![Self::RESET; n],
+            chooser: vec![Self::RESET; n],
             ghr: 0,
             ras: Vec::new(),
             ras_depth,
         }
+    }
+
+    fn snapshot(&self) -> PredSnap {
+        PredSnap {
+            bim: sparse_table(&self.bim, Self::RESET),
+            gsh: sparse_table(&self.gsh, Self::RESET),
+            chooser: sparse_table(&self.chooser, Self::RESET),
+            ghr: self.ghr,
+            ras: self.ras.clone(),
+        }
+    }
+
+    fn restore(&mut self, s: &PredSnap) -> Result<(), String> {
+        if s.ras.len() > self.ras_depth {
+            return Err(format!(
+                "return-stack image holds {} entries, the stack {}",
+                s.ras.len(),
+                self.ras_depth
+            ));
+        }
+        scatter_table(&s.bim, &mut self.bim, Self::RESET)?;
+        scatter_table(&s.gsh, &mut self.gsh, Self::RESET)?;
+        scatter_table(&s.chooser, &mut self.chooser, Self::RESET)?;
+        self.ghr = s.ghr;
+        self.ras.clone_from(&s.ras);
+        Ok(())
     }
 
     fn branch(&mut self, pc: u32, taken: bool) -> bool {
@@ -269,8 +314,10 @@ impl IssueSlots {
 
     /// Captures the per-cycle issue counts at cycle ≥ `horizon` — slot
     /// searches start at operand-ready times near the current clock, so
-    /// counts far enough behind it are dead weight in a live-point.
-    fn snapshot(&self, horizon: u64) -> Vec<(u64, u32)> {
+    /// counts far enough behind it are dead weight in a live-point. The
+    /// cycles are delta-coded from `horizon`; the counts follow in the
+    /// same order.
+    fn snapshot(&self, horizon: u64) -> SlotsSnap {
         let mut v: Vec<(u64, u32)> = self
             .counts
             .iter()
@@ -278,28 +325,39 @@ impl IssueSlots {
             .map(|(&t, &c)| (t, c))
             .collect();
         v.sort_unstable();
-        v
+        (
+            delta_code(horizon, v.iter().map(|&(t, _)| t)),
+            v.into_iter().map(|(_, c)| c).collect(),
+        )
     }
 
-    fn restore(&mut self, counts: &[(u64, u32)]) {
-        self.counts = counts.iter().copied().collect();
+    fn restore(&mut self, horizon: u64, (gaps, counts): &SlotsSnap) -> Result<(), String> {
+        if gaps.len() != counts.len() {
+            return Err(format!(
+                "issue-slot image has {} cycles for {} counts",
+                gaps.len(),
+                counts.len()
+            ));
+        }
+        let cycles = delta_decode(horizon, gaps)?;
+        self.counts = cycles.into_iter().zip(counts.iter().copied()).collect();
+        Ok(())
     }
 }
 
-/// Serializable tag-array image of the local [`Cache`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct CacheSnap {
-    tags: Vec<Vec<(u64, u64)>>,
-    stamp: u64,
-}
+/// Serializable image of an [`IssueSlots`]: its busy cycles delta-coded
+/// ([`trips_sample::sparse::delta_code`]) and each one's issue count.
+type SlotsSnap = (Vec<u64>, Vec<u32>);
 
-/// Serializable image of the local [`Predictor`] (tables + history; the
-/// geometry is re-derived from the config on restore and validated).
+/// Serializable image of the local [`Predictor`]: the counters that
+/// differ from reset ([`trips_sample::sparse::sparse_table`]) plus the
+/// histories. Table indices are checked against the config's geometry on
+/// restore.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct PredSnap {
-    bim: Vec<u8>,
-    gsh: Vec<u8>,
-    chooser: Vec<u8>,
+    bim: Vec<(u32, u8)>,
+    gsh: Vec<(u32, u8)>,
+    chooser: Vec<(u32, u8)>,
     ghr: u32,
     ras: Vec<(u32, u32)>,
 }
@@ -307,18 +365,22 @@ struct PredSnap {
 /// One OoO core's complete warmed machine state at a live-point boundary,
 /// plus the trace-cursor position, so a restored replay resumes the event
 /// stream and the pipeline model bit-identically to a sequential
-/// fast-forward. Fields are private (the payload is an opaque checkpoint);
-/// [`OooSnapshot::unit`] exposes the boundary for validation.
+/// fast-forward. Caches, predictor tables and issue/port counts are stored
+/// sparse ([`trips_sample::sparse`]). Fields are private (the payload is an
+/// opaque checkpoint); [`OooSnapshot::unit`] exposes the boundary for
+/// validation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OooSnapshot {
     unit: u64,
     cursor: CursorState,
-    l1: CacheSnap,
-    l2: CacheSnap,
+    l1: SparseWays,
+    l2: SparseWays,
     pred: PredSnap,
-    issue: Vec<(u64, u32)>,
-    mem_ports: Vec<(u64, u32)>,
-    fp_ports: Vec<(u64, u32)>,
+    /// The cycle the issue and port counts are delta-coded from.
+    horizon: u64,
+    issue: SlotsSnap,
+    mem_ports: SlotsSnap,
+    fp_ports: SlotsSnap,
     reg_ready: [u64; 32],
     fetch_cycle: u64,
     fetched_this_cycle: u32,
@@ -555,21 +617,10 @@ impl OooState {
         OooSnapshot {
             unit,
             cursor,
-            l1: CacheSnap {
-                tags: self.l1.tags.clone(),
-                stamp: self.l1.stamp,
-            },
-            l2: CacheSnap {
-                tags: self.l2.tags.clone(),
-                stamp: self.l2.stamp,
-            },
-            pred: PredSnap {
-                bim: self.pred.bim.clone(),
-                gsh: self.pred.gsh.clone(),
-                chooser: self.pred.chooser.clone(),
-                ghr: self.pred.ghr,
-                ras: self.pred.ras.clone(),
-            },
+            l1: self.l1.snapshot(),
+            l2: self.l2.snapshot(),
+            pred: self.pred.snapshot(),
+            horizon,
             issue: self.issue.snapshot(horizon),
             mem_ports: self.mem_ports.snapshot(horizon),
             fp_ports: self.fp_ports.snapshot(horizon),
@@ -584,34 +635,19 @@ impl OooState {
     }
 
     /// Builds a machine in exactly the captured state, validating that the
-    /// snapshot's geometry matches `cfg` (a live-point only fits the
+    /// snapshot fits `cfg`'s geometry (a live-point only fits the
     /// configuration that captured it).
     fn restore(cfg: &OooConfig, s: &OooSnapshot) -> Result<OooState, String> {
         let mut st = OooState::new(cfg);
-        if st.l1.tags.len() != s.l1.tags.len() || st.l2.tags.len() != s.l2.tags.len() {
-            return Err("live-point cache geometry does not match this config".into());
-        }
-        if st.pred.bim.len() != s.pred.bim.len()
-            || st.pred.gsh.len() != s.pred.gsh.len()
-            || st.pred.chooser.len() != s.pred.chooser.len()
-        {
-            return Err("live-point predictor geometry does not match this config".into());
-        }
         if st.retire_ring.len() != s.retire_ring.len() {
             return Err("live-point ROB depth does not match this config".into());
         }
-        st.l1.tags.clone_from(&s.l1.tags);
-        st.l1.stamp = s.l1.stamp;
-        st.l2.tags.clone_from(&s.l2.tags);
-        st.l2.stamp = s.l2.stamp;
-        st.pred.bim.clone_from(&s.pred.bim);
-        st.pred.gsh.clone_from(&s.pred.gsh);
-        st.pred.chooser.clone_from(&s.pred.chooser);
-        st.pred.ghr = s.pred.ghr;
-        st.pred.ras.clone_from(&s.pred.ras);
-        st.issue.restore(&s.issue);
-        st.mem_ports.restore(&s.mem_ports);
-        st.fp_ports.restore(&s.fp_ports);
+        st.l1.restore(&s.l1)?;
+        st.l2.restore(&s.l2)?;
+        st.pred.restore(&s.pred)?;
+        st.issue.restore(s.horizon, &s.issue)?;
+        st.mem_ports.restore(s.horizon, &s.mem_ports)?;
+        st.fp_ports.restore(s.horizon, &s.fp_ports)?;
         st.reg_ready = s.reg_ready;
         st.fetch_cycle = s.fetch_cycle;
         st.fetched_this_cycle = s.fetched_this_cycle;
@@ -903,6 +939,7 @@ pub fn assemble_ooo_phased(
 mod tests {
     use super::*;
     use crate::configs;
+    use proptest::prelude::*;
     use trips_ir::{IntCc, Operand, ProgramBuilder};
     use trips_risc::compile_program;
 
@@ -1140,6 +1177,143 @@ mod tests {
                 cfg.name
             );
             assert_eq!(assembled.return_value, sequential.return_value);
+        }
+    }
+
+    /// A live-point image after the trip through bytes a store makes.
+    fn through_bytes<T: Serialize + serde::DeserializeOwned>(t: &T) -> T {
+        serde::bin::from_bytes(&serde::bin::to_bytes(t)).unwrap()
+    }
+
+    /// One predictor event — a call, a return or a conditional branch —
+    /// and what the predictor got right (a call predicts nothing).
+    fn predict(p: &mut Predictor, (kind, pc, taken): (u8, u32, bool)) -> bool {
+        match kind {
+            0 => {
+                p.call((pc, pc + 1));
+                false
+            }
+            1 => p.ret((pc, pc + 1)),
+            _ => p.branch(pc, taken),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Tag arrays, predictor and issue slots restored from their
+        /// sparse images — into components that have already run other
+        /// streams — behave exactly as the originals for the rest of a
+        /// random sequence: the same hits, predictions and granted
+        /// cycles, step by step. The slot sequence crosses the 4096-entry
+        /// prune; its horizon never cuts a count.
+        #[test]
+        fn components_resume_exactly_from_their_images(
+            ops in prop::collection::vec((0u8..4, 0u32..512, any::<bool>(), 0u64..40), 9000..10000),
+            split in 0usize..5000,
+            below in 0u64..3000,
+        ) {
+            let mut cache = Cache::new(8192, 4, 64);
+            let mut pred = Predictor::new(256, 4);
+            let mut slots = IssueSlots::new(2);
+            let mut resumed: Option<(Cache, Predictor, IssueSlots)> = None;
+            let mut pruned_after_split = false;
+            for (step, &(kind, pc, taken, jitter)) in ops.iter().enumerate() {
+                let addr = u64::from(pc) * 64 + jitter;
+                let earliest = step as u64 + jitter;
+                if step == split {
+                    let mut c = Cache::new(8192, 4, 64);
+                    let mut p = Predictor::new(256, 4);
+                    let mut s = IssueSlots::new(2);
+                    for i in 0..300u32 {
+                        c.access(u64::from(i) * 4160);
+                        predict(&mut p, ((i % 3) as u8, i * 7, i % 2 == 0));
+                        s.take(u64::from(i) * 3);
+                    }
+                    c.restore(&through_bytes(&cache.snapshot())).unwrap();
+                    p.restore(&through_bytes(&pred.snapshot())).unwrap();
+                    let lowest = slots.counts.keys().min().copied().unwrap_or(0);
+                    let horizon = lowest.saturating_sub(below);
+                    s.restore(horizon, &through_bytes(&slots.snapshot(horizon))).unwrap();
+                    prop_assert_eq!(s.snapshot(0), slots.snapshot(0));
+                    resumed = Some((c, p, s));
+                }
+                let hit = cache.access(addr);
+                let guess = predict(&mut pred, (kind, pc, taken));
+                let len = slots.counts.len();
+                let granted = slots.take(earliest);
+                if let Some((c, p, s)) = resumed.as_mut() {
+                    prop_assert_eq!(c.access(addr), hit, "cache, step {}", step);
+                    prop_assert_eq!(predict(p, (kind, pc, taken)), guess, "predictor, step {}", step);
+                    prop_assert_eq!(s.take(earliest), granted, "slots, step {}", step);
+                    pruned_after_split |= slots.counts.len() < len;
+                }
+            }
+            let (c, p, s) = resumed.expect("split lies inside the run");
+            prop_assert_eq!(c.snapshot(), cache.snapshot());
+            prop_assert_eq!(p.snapshot(), pred.snapshot());
+            prop_assert_eq!(s.snapshot(0), slots.snapshot(0));
+            prop_assert!(pruned_after_split);
+        }
+    }
+
+    #[test]
+    fn livepoint_restore_rejects_malformed_images() {
+        let p = sum_program(3000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(trace.header.dynamic_insts);
+        let cfg = configs::core2();
+        let (_, snaps) = run_ooo_phased_capture(&rp, &trace, &cfg, &plan).unwrap();
+        let good = snaps[2].clone();
+        let mut bad: Vec<(&str, OooSnapshot)> = Vec::new();
+        let mut s = good.clone();
+        s.l1 = Cache::new(cfg.l1_bytes * 2, 4, cfg.line).snapshot();
+        bad.push(("L1 geometry", s));
+        let mut s = good.clone();
+        s.pred.bim.push((u32::MAX, 0));
+        bad.push(("predictor entry out of range", s));
+        let mut s = good.clone();
+        s.pred.gsh = vec![(8, 0), (3, 3)];
+        bad.push(("predictor entries unsorted", s));
+        let mut s = good.clone();
+        s.pred.chooser = vec![(8, 0), (8, 3)];
+        bad.push(("predictor entry repeated", s));
+        let mut s = good.clone();
+        s.pred.ras = vec![(0, 0); cfg.ras_depth + 1];
+        bad.push(("return stack too deep", s));
+        let mut s = good.clone();
+        s.issue.1.push(1);
+        bad.push(("issue counts without cycles", s));
+        let mut s = good.clone();
+        s.horizon = u64::MAX;
+        s.mem_ports = (vec![0, 0], vec![1, 1]);
+        bad.push(("port cycles overflow", s));
+        for (what, s) in &bad {
+            assert!(OooState::restore(&cfg, s).is_err(), "{what}");
+            assert!(
+                replay_ooo_window(&rp, &trace, &cfg, &plan.windows[2], s).is_err(),
+                "{what}"
+            );
+        }
+        // Flipped bytes either fail to decode or restore to Ok or Err; no
+        // image panics the restore.
+        let bytes = serde::bin::to_bytes(&good);
+        for i in (0..bytes.len()).step_by(bytes.len() / 500 + 1) {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut b = bytes.clone();
+                b[i] ^= flip;
+                if let Ok(s) = serde::bin::from_bytes::<OooSnapshot>(&b) {
+                    let _ = OooState::restore(&cfg, &s);
+                }
+            }
         }
     }
 

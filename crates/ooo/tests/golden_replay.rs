@@ -131,29 +131,29 @@ const GOLDEN: &str = r#"bzip2/core2 full: cycles=25955 est_cycles=25955 insts=71
 bzip2/core2 sampled: cycles=4422 est_cycles=27804 insts=10752 total_insts=71631 sampled=true branches=955 br_mispredicts=32 ras_mispredicts=0 l1_accesses=1755 l1_misses=8 l2_misses=8
 bzip2/core2 phased: cycles=9210 est_cycles=25668 insts=25069 total_insts=71631 sampled=true branches=2179 br_mispredicts=72 ras_mispredicts=0 l1_accesses=4299 l1_misses=13 l2_misses=13
 bzip2/core2 captured: cycles=9210 est_cycles=25668 insts=25069 total_insts=71631 sampled=true branches=2179 br_mispredicts=72 ras_mispredicts=0 l1_accesses=4299 l1_misses=13 l2_misses=13
-bzip2/core2 snapshots: [(532790, 18151983496728499545), (558389, 14038811370588191034), (565519, 1661095629152740219)]
+bzip2/core2 snapshots: [(620, 12363893476362382289), (16038, 10169245583441797771), (20497, 2468372657469987867)]
 bzip2/pentium4 full: cycles=40380 est_cycles=40380 insts=71631 total_insts=71631 sampled=false branches=6240 br_mispredicts=198 ras_mispredicts=0 l1_accesses=12392 l1_misses=29 l2_misses=29
 bzip2/pentium4 sampled: cycles=6538 est_cycles=39257 insts=10752 total_insts=71631 sampled=true branches=955 br_mispredicts=32 ras_mispredicts=0 l1_accesses=1755 l1_misses=8 l2_misses=8
 bzip2/pentium4 phased: cycles=14297 est_cycles=39576 insts=25069 total_insts=71631 sampled=true branches=2179 br_mispredicts=72 ras_mispredicts=0 l1_accesses=4299 l1_misses=13 l2_misses=13
 bzip2/pentium4 captured: cycles=14297 est_cycles=39576 insts=25069 total_insts=71631 sampled=true branches=2179 br_mispredicts=72 ras_mispredicts=0 l1_accesses=4299 l1_misses=13 l2_misses=13
-bzip2/pentium4 snapshots: [(528886, 4817147792844447617), (559486, 2676606621361158022), (571842, 10775935216693383132)]
+bzip2/pentium4 snapshots: [(684, 15338210326741816235), (18996, 9071189670649303532), (26431, 12582878299223628005)]
 bzip2/pentium3 full: cycles=31689 est_cycles=31689 insts=71631 total_insts=71631 sampled=false branches=6240 br_mispredicts=198 ras_mispredicts=0 l1_accesses=12392 l1_misses=57 l2_misses=57
 bzip2/pentium3 sampled: cycles=4961 est_cycles=31959 insts=10752 total_insts=71631 sampled=true branches=955 br_mispredicts=32 ras_mispredicts=0 l1_accesses=1755 l1_misses=15 l2_misses=15
 bzip2/pentium3 phased: cycles=11167 est_cycles=31461 insts=25069 total_insts=71631 sampled=true branches=2179 br_mispredicts=72 ras_mispredicts=0 l1_accesses=4299 l1_misses=24 l2_misses=24
 bzip2/pentium3 captured: cycles=11167 est_cycles=31461 insts=25069 total_insts=71631 sampled=true branches=2179 br_mispredicts=72 ras_mispredicts=0 l1_accesses=4299 l1_misses=24 l2_misses=24
-bzip2/pentium3 snapshots: [(261318, 4319245071389500093), (295556, 3540320982376057994), (291174, 7023609840399304012)]
+bzip2/pentium3 snapshots: [(508, 13830441448970895225), (21176, 14045789719674201177), (19508, 5557616502297105005)]
 cacheb/core2 full: cycles=5830 est_cycles=5830 insts=12309 total_insts=12309 sampled=false branches=1026 br_mispredicts=5 ras_mispredicts=0 l1_accesses=1028 l1_misses=65 l2_misses=65
 cacheb/core2 sampled: cycles=2513 est_cycles=6261 insts=3392 total_insts=12309 sampled=true branches=283 br_mispredicts=3 ras_mispredicts=0 l1_accesses=284 l1_misses=62 l2_misses=62
 cacheb/core2 phased: cycles=3138 est_cycles=5792 insts=4306 total_insts=12309 sampled=true branches=359 br_mispredicts=3 ras_mispredicts=0 l1_accesses=361 l1_misses=65 l2_misses=65
 cacheb/core2 captured: cycles=3138 est_cycles=5792 insts=4306 total_insts=12309 sampled=true branches=359 br_mispredicts=3 ras_mispredicts=0 l1_accesses=361 l1_misses=65 l2_misses=65
-cacheb/core2 snapshots: [(532790, 18151983496728499545), (537660, 12150704464559255443), (543036, 13892588329025888694)]
+cacheb/core2 snapshots: [(620, 12363893476362382289), (5573, 12796750410467253217), (8728, 6704080712835370118)]
 cacheb/pentium4 full: cycles=8053 est_cycles=8053 insts=12309 total_insts=12309 sampled=false branches=1026 br_mispredicts=5 ras_mispredicts=0 l1_accesses=1028 l1_misses=65 l2_misses=65
 cacheb/pentium4 sampled: cycles=3654 est_cycles=7064 insts=3392 total_insts=12309 sampled=true branches=283 br_mispredicts=3 ras_mispredicts=0 l1_accesses=284 l1_misses=62 l2_misses=62
 cacheb/pentium4 phased: cycles=4479 est_cycles=7133 insts=4306 total_insts=12309 sampled=true branches=359 br_mispredicts=3 ras_mispredicts=0 l1_accesses=361 l1_misses=65 l2_misses=65
 cacheb/pentium4 captured: cycles=4479 est_cycles=7133 insts=4306 total_insts=12309 sampled=true branches=359 br_mispredicts=3 ras_mispredicts=0 l1_accesses=361 l1_misses=65 l2_misses=65
-cacheb/pentium4 snapshots: [(528886, 4817147792844447617), (533529, 7462914288878401421), (538912, 10279386767006315271)]
+cacheb/pentium4 snapshots: [(684, 15338210326741816235), (5547, 17307210052855723025), (8706, 12723177817770900892)]
 cacheb/pentium3 full: cycles=8817 est_cycles=8817 insts=12309 total_insts=12309 sampled=false branches=1026 br_mispredicts=5 ras_mispredicts=0 l1_accesses=1028 l1_misses=129 l2_misses=129
 cacheb/pentium3 sampled: cycles=2804 est_cycles=9020 insts=3392 total_insts=12309 sampled=true branches=283 br_mispredicts=3 ras_mispredicts=0 l1_accesses=284 l1_misses=74 l2_misses=74
 cacheb/pentium3 phased: cycles=3184 est_cycles=6170 insts=4306 total_insts=12309 sampled=true branches=359 br_mispredicts=3 ras_mispredicts=0 l1_accesses=361 l1_misses=75 l2_misses=75
 cacheb/pentium3 captured: cycles=3184 est_cycles=6170 insts=4306 total_insts=12309 sampled=true branches=359 br_mispredicts=3 ras_mispredicts=0 l1_accesses=361 l1_misses=75 l2_misses=75
-cacheb/pentium3 snapshots: [(261318, 4319245071389500093), (265367, 5135518406406693837), (271327, 13829928874521140272)]"#;
+cacheb/pentium3 snapshots: [(508, 13830441448970895225), (7034, 1284828291080310924), (10515, 13851626367917984411)]"#;

@@ -70,6 +70,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+pub mod sparse;
+
 /// Low-discrepancy offset for period `k` in `0..=slack`: the golden-ratio
 /// (Weyl) sequence. Deterministic like a hash, but consecutive periods'
 /// offsets spread evenly across the range instead of clumping, so even a

@@ -6,23 +6,54 @@
 //! network's links ([`crate::opn`]) all share.
 
 use serde::{Deserialize, Serialize};
+use trips_sample::sparse::{delta_code, delta_decode, SparseWays, EMPTY_WAY};
 
-/// Serializable image of a [`Cache`]'s replacement state: tag arrays and
-/// the LRU stamp. The accounting counters (`accesses`, `misses`) are *not*
-/// captured — a restored replay baselines them itself, so live-point
-/// snapshots stay pure machine state.
+/// Serializable image of a row of claimed-cycle sets — the banks of a
+/// [`BankPorts`], or the directed links of the operand network
+/// ([`crate::opn::Opn`]): each set's claims at or after `horizon`,
+/// delta-coded ([`trips_sample::sparse::delta_code`]), so identical
+/// occupancy always serializes to identical bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheSnapshot {
-    tags: Vec<Vec<(u64, u64)>>,
-    stamp: u64,
+pub struct ClaimsSnapshot {
+    pub(crate) horizon: u64,
+    pub(crate) sets: Vec<Vec<u64>>,
 }
 
-/// Serializable image of a [`BankPorts`]' claimed-cycle sets, with each
-/// bank's claims sorted so identical occupancy always serializes to
-/// identical bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BankPortsSnapshot {
-    busy: Vec<Vec<u64>>,
+impl ClaimsSnapshot {
+    /// The claims of every set in `sets` at cycle ≥ `horizon`.
+    pub(crate) fn capture(sets: &[ClaimSet], horizon: u64) -> ClaimsSnapshot {
+        ClaimsSnapshot {
+            horizon,
+            sets: sets
+                .iter()
+                .map(|set| delta_code(horizon, set.claims_from(horizon).iter().copied()))
+                .collect(),
+        }
+    }
+
+    /// Replaces every set in `sets` with its image.
+    ///
+    /// # Errors
+    /// The image holds a different number of sets, or a set overflows
+    /// the cycle counter.
+    pub(crate) fn restore(&self, sets: &mut [ClaimSet]) -> Result<(), String> {
+        if sets.len() != self.sets.len() {
+            return Err(format!(
+                "occupancy image has {} claim sets, the machine has {}",
+                self.sets.len(),
+                sets.len()
+            ));
+        }
+        let decoded = self
+            .sets
+            .iter()
+            .map(|gaps| delta_decode(self.horizon, gaps).map(ClaimSet))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (set, claims) in sets.iter_mut().zip(decoded) {
+            *set = claims;
+        }
+        Ok(())
+    }
 }
 
 /// A set-associative cache model (tags only; data values live in the
@@ -31,9 +62,10 @@ pub struct BankPortsSnapshot {
 pub struct Cache {
     sets: usize,
     line: usize,
-    /// `tags[set]` = (tag, last-use stamp) per way; empty ways hold
-    /// `u64::MAX`.
-    tags: Vec<Vec<(u64, u64)>>,
+    ways: usize,
+    /// `(tag, last-use stamp)` per way, set-major (`tags[set * ways +
+    /// way]`); empty ways hold [`EMPTY_WAY`].
+    tags: Vec<(u64, u64)>,
     stamp: u64,
     /// Accesses and misses.
     pub accesses: u64,
@@ -51,7 +83,8 @@ impl Cache {
         Cache {
             sets,
             line,
-            tags: vec![vec![(u64::MAX, 0); ways]; sets],
+            ways,
+            tags: vec![EMPTY_WAY; sets * ways],
             stamp: 0,
             accesses: 0,
             misses: 0,
@@ -67,7 +100,8 @@ impl Cache {
         let lineno = addr / self.line as u64;
         let set = (lineno % self.sets as u64) as usize;
         let tag = lineno / self.sets as u64;
-        for way in self.tags[set].iter_mut() {
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        for way in ways.iter_mut() {
             if way.0 == tag {
                 way.1 = self.stamp;
                 return true;
@@ -75,31 +109,33 @@ impl Cache {
         }
         self.misses += 1;
         // Evict LRU.
-        let victim = self.tags[set]
+        let victim = ways
             .iter()
             .enumerate()
             .min_by_key(|(_, w)| w.1)
             .map(|(i, _)| i)
             .unwrap_or(0);
-        self.tags[set][victim] = (tag, self.stamp);
+        ways[victim] = (tag, self.stamp);
         false
     }
 
-    /// Captures the replacement state (tags + stamp) for a live-point.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            tags: self.tags.clone(),
-            stamp: self.stamp,
-        }
+    /// Captures the replacement state for a live-point: the valid ways
+    /// and the LRU stamp. The accounting counters (`accesses`, `misses`)
+    /// are *not* captured — a restored replay baselines them itself, so
+    /// live-point snapshots stay pure machine state.
+    pub fn snapshot(&self) -> SparseWays {
+        SparseWays::capture(&self.tags, self.ways, self.stamp)
     }
 
-    /// Restores replacement state captured by [`Cache::snapshot`]. The
-    /// geometry (sets × ways) must match the snapshot's — live-point keys
-    /// carry a config signature precisely so this cannot be violated.
-    pub fn restore(&mut self, s: &CacheSnapshot) {
-        debug_assert_eq!(self.tags.len(), s.tags.len(), "set count mismatch");
-        self.tags.clone_from(&s.tags);
-        self.stamp = s.stamp;
+    /// Restores replacement state captured by [`Cache::snapshot`],
+    /// emptying every way the image does not name.
+    ///
+    /// # Errors
+    /// The image's geometry (sets × ways) differs from this cache's, or
+    /// it names ways out of range, unsorted or twice.
+    pub fn restore(&mut self, s: &SparseWays) -> Result<(), String> {
+        self.stamp = s.restore(&mut self.tags, self.ways)?;
+        Ok(())
     }
 
     /// Miss ratio so far.
@@ -131,14 +167,6 @@ impl ClaimSet {
     pub(crate) const PRUNE_LEN: usize = 2048;
     /// Cycles below a pruning grant that survive the prune.
     pub(crate) const PRUNE_KEEP: u64 = 1024;
-
-    /// A set holding `claims` (any order; duplicates collapse).
-    pub(crate) fn from_claims(claims: &[u64]) -> ClaimSet {
-        let mut v = claims.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        ClaimSet(v)
-    }
 
     /// Index of the first claim at or after cycle `t`.
     fn lower_bound(&self, t: u64) -> usize {
@@ -220,28 +248,22 @@ impl BankPorts {
         start
     }
 
-    /// Captures the claimed-cycle occupancy (counters excluded; see
-    /// [`CacheSnapshot`]), keeping only claims at cycle ≥ `horizon` —
+    /// Captures the claimed-cycle occupancy (counters excluded, as for
+    /// [`Cache::snapshot`]), keeping only claims at cycle ≥ `horizon` —
     /// reservation searches start at request times near the current clock,
     /// so claims far enough behind it can never be probed again and would
     /// only bloat the snapshot (see [`crate::opn::Opn::snapshot`]).
-    pub fn snapshot(&self, horizon: u64) -> BankPortsSnapshot {
-        BankPortsSnapshot {
-            busy: self
-                .busy
-                .iter()
-                .map(|set| set.claims_from(horizon).to_vec())
-                .collect(),
-        }
+    pub fn snapshot(&self, horizon: u64) -> ClaimsSnapshot {
+        ClaimsSnapshot::capture(&self.busy, horizon)
     }
 
-    /// Restores occupancy captured by [`BankPorts::snapshot`]; the bank
-    /// count must match.
-    pub fn restore(&mut self, s: &BankPortsSnapshot) {
-        debug_assert_eq!(self.busy.len(), s.busy.len(), "bank count mismatch");
-        for (set, claims) in self.busy.iter_mut().zip(&s.busy) {
-            *set = ClaimSet::from_claims(claims);
-        }
+    /// Restores occupancy captured by [`BankPorts::snapshot`].
+    ///
+    /// # Errors
+    /// The image holds another bank count, or a claim set overflows the
+    /// cycle counter.
+    pub fn restore(&mut self, s: &ClaimsSnapshot) -> Result<(), String> {
+        s.restore(&mut self.busy)
     }
 }
 
@@ -250,8 +272,9 @@ impl BankPorts {
 /// against step by step.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::BankPortsSnapshot;
+    use super::ClaimsSnapshot;
     use std::collections::HashSet;
+    use trips_sample::sparse::{delta_code, delta_decode};
 
     /// Claims the first run of `span` free cycles at or after `t` by
     /// probing one cycle at a time, then prunes claims more than 1024
@@ -284,6 +307,28 @@ pub(crate) mod oracle {
         v
     }
 
+    /// The image of hash-set claim sets, as [`ClaimsSnapshot::capture`]
+    /// takes it of sorted ones.
+    pub(crate) fn image<'a>(
+        sets: impl Iterator<Item = &'a HashSet<u64>>,
+        horizon: u64,
+    ) -> ClaimsSnapshot {
+        ClaimsSnapshot {
+            horizon,
+            sets: sets
+                .map(|s| delta_code(horizon, sorted_from(s, horizon)))
+                .collect(),
+        }
+    }
+
+    /// The hash-set claim sets an image holds.
+    pub(crate) fn sets_of(s: &ClaimsSnapshot) -> Vec<HashSet<u64>> {
+        s.sets
+            .iter()
+            .map(|gaps| delta_decode(s.horizon, gaps).unwrap().into_iter().collect())
+            .collect()
+    }
+
     /// Hash-set bank ports.
     #[derive(Debug, Clone)]
     pub(crate) struct Banks {
@@ -305,16 +350,12 @@ pub(crate) mod oracle {
             start
         }
 
-        pub(crate) fn snapshot(&self, horizon: u64) -> BankPortsSnapshot {
-            BankPortsSnapshot {
-                busy: self.busy.iter().map(|s| sorted_from(s, horizon)).collect(),
-            }
+        pub(crate) fn snapshot(&self, horizon: u64) -> ClaimsSnapshot {
+            image(self.busy.iter(), horizon)
         }
 
-        pub(crate) fn restore(&mut self, s: &BankPortsSnapshot) {
-            for (set, claims) in self.busy.iter_mut().zip(&s.busy) {
-                *set = claims.iter().copied().collect();
-            }
+        pub(crate) fn restore(&mut self, s: &ClaimsSnapshot) {
+            self.busy = sets_of(s);
         }
     }
 }
@@ -365,7 +406,7 @@ mod tests {
                 if step == split {
                     let horizon = (step as u64 * 2).saturating_sub(cut);
                     let mut f = BankPorts::new(2);
-                    f.restore(&fast.snapshot(horizon));
+                    f.restore(&fast.snapshot(horizon)).unwrap();
                     let mut o = oracle::Banks::new(2);
                     o.restore(&slow.snapshot(horizon));
                     prop_assert_eq!(f.snapshot(0), o.snapshot(0));
@@ -386,8 +427,106 @@ mod tests {
             prop_assert_eq!(f.snapshot(0), o.snapshot(0));
             // Bank 0 took more claims than the threshold and was pruned.
             prop_assert!(claimed[0] > ClaimSet::PRUNE_LEN as u64);
-            prop_assert!((fast.snapshot(0).busy[0].len() as u64) < claimed[0]);
+            prop_assert!((fast.snapshot(0).sets[0].len() as u64) < claimed[0]);
         }
+    }
+
+    /// A live-point image after the trip through bytes a store makes.
+    fn through_bytes<T: Serialize + serde::DeserializeOwned>(t: &T) -> T {
+        serde::bin::from_bytes(&serde::bin::to_bytes(t)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// A claim set restored from its delta-coded image grants exactly
+        /// what the original grants, step by step: the image is taken at
+        /// `split` (before or after the first 2048-claim prune), restored
+        /// into banks that already hold other claims, and both copies then
+        /// serve the rest of the sequence, pruning at least once more. The
+        /// horizon never cuts a claim, so the restored set must equal the
+        /// original.
+        #[test]
+        fn claim_sets_resume_exactly_from_their_image(
+            ops in prop::collection::vec((0u64..200, 1u64..6, 0u64..10), 2600..3000),
+            split in 0usize..2000,
+            below in 0u64..5000,
+        ) {
+            let mut orig = BankPorts::new(1);
+            let mut resumed: Option<BankPorts> = None;
+            let mut prunes_after_split = 0;
+            for (step, &(jitter, busy, back)) in ops.iter().enumerate() {
+                let t = request_time(step, jitter, back);
+                if step == split {
+                    let lowest = orig.busy[0].claims_from(0).first().copied().unwrap_or(0);
+                    let img = through_bytes(&orig.snapshot(lowest.saturating_sub(below)));
+                    let mut r = BankPorts::new(1);
+                    r.reserve(0, 7, 3);
+                    r.restore(&img).unwrap();
+                    prop_assert_eq!(r.snapshot(0), orig.snapshot(0));
+                    resumed = Some(r);
+                }
+                let len = orig.busy[0].0.len() as u64;
+                let granted = orig.reserve(0, t, busy);
+                if let Some(r) = resumed.as_mut() {
+                    prop_assert_eq!(r.reserve(0, t, busy), granted, "step {}", step);
+                    if (orig.busy[0].0.len() as u64) < len + busy {
+                        prunes_after_split += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(resumed.unwrap().snapshot(0), orig.snapshot(0));
+            prop_assert!(prunes_after_split > 0);
+        }
+
+        /// A cache restored from its sparse image — into a cache that
+        /// already holds other lines — hits and misses exactly as the
+        /// original does for the rest of an access sequence.
+        #[test]
+        fn caches_resume_exactly_from_their_image(
+            ops in prop::collection::vec(0u64..256, 300..600),
+            split in 0usize..300,
+        ) {
+            let mut orig = Cache::new(4096, 4, 64);
+            let mut resumed: Option<Cache> = None;
+            for (step, &line) in ops.iter().enumerate() {
+                let addr = line * 64 + line % 64;
+                if step == split {
+                    let mut r = Cache::new(4096, 4, 64);
+                    for a in (0..64).map(|l| (l * 7 + 3) * 64) {
+                        r.access(a);
+                    }
+                    r.restore(&through_bytes(&orig.snapshot())).unwrap();
+                    resumed = Some(r);
+                }
+                let hit = orig.access(addr);
+                if let Some(r) = resumed.as_mut() {
+                    prop_assert_eq!(r.access(addr), hit, "step {}", step);
+                }
+            }
+            prop_assert_eq!(resumed.unwrap().snapshot(), orig.snapshot());
+        }
+    }
+
+    #[test]
+    fn malformed_images_are_rejected() {
+        // A cache image of another geometry.
+        let mut c = Cache::new(4096, 4, 64);
+        assert!(c.restore(&Cache::new(8192, 4, 64).snapshot()).is_err());
+        assert!(c.restore(&Cache::new(4096, 2, 64).snapshot()).is_err());
+        // Claim images of another bank count, or that overflow the clock;
+        // a rejected image leaves the banks as they were.
+        let mut b = BankPorts::new(2);
+        b.reserve(1, 5, 2);
+        let before = b.snapshot(0);
+        assert!(b.restore(&BankPorts::new(3).snapshot(0)).is_err());
+        let mut img = before.clone();
+        img.horizon = u64::MAX - 1;
+        assert!(b.restore(&img).is_err());
+        let mut img = before.clone();
+        img.sets[0] = vec![1, u64::MAX];
+        assert!(b.restore(&img).is_err());
+        assert_eq!(b.snapshot(0), before);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the contention §7 identifies as the prototype's biggest performance
 //! artifact.
 
-use crate::cache::ClaimSet;
+use crate::cache::{ClaimSet, ClaimsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -82,6 +82,7 @@ impl Node {
     /// Index of the directed link `self → to` in [`Opn`]'s link table
     /// (`node * 4 + direction`), or `None` when the two nodes are not mesh
     /// neighbours.
+    #[cfg(test)]
     fn link(self, to: Node) -> Option<usize> {
         let on_mesh = |n: Node| n.row < MESH && n.col < MESH;
         if !on_mesh(self) || !on_mesh(to) {
@@ -167,16 +168,6 @@ impl OpnStats {
             .map(|h| h[hops.min(5)] as f64 / total as f64)
             .unwrap_or(0.0)
     }
-}
-
-/// Serializable image of the mesh's link occupancy: one `(from, to,
-/// claimed cycles)` entry per busy directed link, sorted by endpoints with
-/// sorted claims, so identical traffic always serializes to identical
-/// bytes. Statistics are excluded (live-point snapshots are pure machine
-/// state).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OpnSnapshot {
-    links: Vec<(Node, Node, Vec<u64>)>,
 }
 
 /// The network's traffic counters while it runs: [`OpnStats`] with the
@@ -270,47 +261,27 @@ impl Opn {
         now
     }
 
-    /// Captures the link occupancy for a live-point, keeping only claims
-    /// at cycle ≥ `horizon`. Claims far enough in the past can never be
-    /// probed again (departure searches start at operand-ready times near
-    /// the current clock, and the model's own opportunistic pruning
-    /// already discards anything 1024+ cycles stale on hot links), so
-    /// dropping them keeps cold links from pinning dead cycles into every
-    /// snapshot without perturbing the replay.
-    pub fn snapshot(&self, horizon: u64) -> OpnSnapshot {
-        let mut links: Vec<(Node, Node, Vec<u64>)> = self
-            .link_busy
-            .iter()
-            .enumerate()
-            .filter_map(|(l, busy)| {
-                let claims = busy.claims_from(horizon);
-                if claims.is_empty() {
-                    return None;
-                }
-                let from = Node {
-                    row: (l / 4 / usize::from(MESH)) as u8,
-                    col: (l / 4 % usize::from(MESH)) as u8,
-                };
-                Some((from, from.step(l % 4), claims.to_vec()))
-            })
-            .collect();
-        links.sort_unstable_by_key(|&(a, b, _)| (a.row, a.col, b.row, b.col));
-        OpnSnapshot { links }
+    /// Captures the link occupancy for a live-point, one claim set per
+    /// entry of the link table (statistics excluded: live-point snapshots
+    /// are pure machine state), keeping only claims at cycle ≥ `horizon`.
+    /// Claims far enough in the past can never be probed again (departure
+    /// searches start at operand-ready times near the current clock, and
+    /// the model's own opportunistic pruning already discards anything
+    /// 1024+ cycles stale on hot links), so dropping them keeps cold links
+    /// from pinning dead cycles into every snapshot without perturbing the
+    /// replay.
+    pub fn snapshot(&self, horizon: u64) -> ClaimsSnapshot {
+        ClaimsSnapshot::capture(&self.link_busy, horizon)
     }
 
     /// Restores link occupancy captured by [`Opn::snapshot`]; statistics
-    /// are left untouched (the caller baselines them). Entries naming a
-    /// pair of nodes that are not mesh neighbours carry no link and are
-    /// skipped: no route could ever probe them.
-    pub fn restore(&mut self, s: &OpnSnapshot) {
-        for busy in &mut self.link_busy {
-            *busy = ClaimSet::default();
-        }
-        for (from, to, claims) in &s.links {
-            if let Some(l) = from.link(*to) {
-                self.link_busy[l] = ClaimSet::from_claims(claims);
-            }
-        }
+    /// are left untouched (the caller baselines them).
+    ///
+    /// # Errors
+    /// The image holds another link count, or a claim set overflows the
+    /// cycle counter.
+    pub fn restore(&mut self, s: &ClaimsSnapshot) -> Result<(), String> {
+        s.restore(&mut self.link_busy)
     }
 }
 
@@ -362,22 +333,28 @@ mod tests {
             now
         }
 
-        fn snapshot(&self, horizon: u64) -> OpnSnapshot {
-            let mut links: Vec<(Node, Node, Vec<u64>)> = self
-                .link_busy
-                .iter()
-                .map(|(&(from, to), busy)| (from, to, oracle::sorted_from(busy, horizon)))
-                .filter(|(_, _, v)| !v.is_empty())
-                .collect();
-            links.sort_unstable_by_key(|&(a, b, _)| (a.row, a.col, b.row, b.col));
-            OpnSnapshot { links }
+        /// The image [`Opn::snapshot`] takes: every slot of the link
+        /// table, in table order.
+        fn snapshot(&self, horizon: u64) -> ClaimsSnapshot {
+            let mut sets = vec![HashSet::new(); usize::from(MESH * MESH) * 4];
+            for (&(from, to), busy) in &self.link_busy {
+                sets[from.link(to).expect("routes step between neighbours")] = busy.clone();
+            }
+            oracle::image(sets.iter(), horizon)
         }
 
-        fn restore(&mut self, s: &OpnSnapshot) {
-            self.link_busy = s
-                .links
-                .iter()
-                .map(|(from, to, claims)| ((*from, *to), claims.iter().copied().collect()))
+        fn restore(&mut self, s: &ClaimsSnapshot) {
+            self.link_busy = oracle::sets_of(s)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, busy)| !busy.is_empty())
+                .map(|(l, busy)| {
+                    let from = Node {
+                        row: (l / 4 / usize::from(MESH)) as u8,
+                        col: (l / 4 % usize::from(MESH)) as u8,
+                    };
+                    ((from, from.step(l % 4)), busy)
+                })
                 .collect();
         }
     }
@@ -422,7 +399,7 @@ mod tests {
                 if step == split {
                     let horizon = (step as u64).saturating_sub(cut);
                     let mut f = Opn::new();
-                    f.restore(&fast.snapshot(horizon));
+                    f.restore(&fast.snapshot(horizon)).unwrap();
                     let mut o = OracleOpn::default();
                     o.restore(&slow.snapshot(horizon));
                     prop_assert_eq!(f.snapshot(0), o.snapshot(0));
@@ -445,7 +422,7 @@ mod tests {
             let hot = (Node::et(0), Node::et(1));
             let hot_claims = ops.iter().filter(|&&(sel, ..)| sel <= 6).count();
             prop_assert!(hot_claims > ClaimSet::PRUNE_LEN);
-            let kept = fast.snapshot(0).links.iter().find(|l| (l.0, l.1) == hot).unwrap().2.len();
+            let kept = fast.snapshot(0).sets[hot.0.link(hot.1).unwrap()].len();
             prop_assert!(kept < hot_claims);
         }
     }

@@ -12,32 +12,35 @@
 //! streams.
 
 use serde::{Deserialize, Serialize};
+use trips_sample::sparse::{scatter_table, sparse_table};
 
 fn mix(block: u32, hist: u32) -> u32 {
     (block.wrapping_mul(0x9e37_79b9) >> 8) ^ hist
 }
 
-/// Serializable image of a [`NextBlockPredictor`]'s learned state: every
-/// table of both components plus the histories and the return-address
-/// stack. Masks and depth limits are geometry (reconstructed from the
-/// config at restore), and [`PredictorStats`] is accounting — neither is
-/// captured, keeping live-point snapshots pure machine state.
+/// Serializable image of a [`NextBlockPredictor`]'s learned state: the
+/// entries of every table of both components that differ from their reset
+/// value ([`trips_sample::sparse::sparse_table`]), plus the histories and
+/// the return-address stack. Masks and depth limits are geometry
+/// (reconstructed from the config at restore), and [`PredictorStats`] is
+/// accounting — neither is captured, keeping live-point snapshots pure
+/// machine state.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PredictorSnapshot {
-    lht: Vec<u16>,
-    lpt: Vec<(u8, u8)>,
-    gpt: Vec<(u8, u8)>,
-    chooser: Vec<u8>,
+    pub(crate) lht: Vec<(u32, u16)>,
+    lpt: Vec<(u32, (u8, u8))>,
+    gpt: Vec<(u32, (u8, u8))>,
+    chooser: Vec<(u32, u8)>,
     ghr: u32,
-    btb: Vec<Option<(u64, u32)>>,
+    btb: Vec<(u32, Option<(u64, u32)>)>,
     ras: Vec<u32>,
 }
 
-/// Serializable image of a [`LoadWaitTable`]'s learned wait bits
-/// (`violations` is accounting and excluded).
+/// Serializable image of a [`LoadWaitTable`]'s learned wait bits: the
+/// indices of the set ones (`violations` is accounting and excluded).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadWaitSnapshot {
-    bits: Vec<bool>,
+    pub(crate) bits: Vec<(u32, bool)>,
 }
 
 /// Local/global tournament exit predictor.
@@ -52,15 +55,19 @@ pub struct ExitPredictor {
 }
 
 impl ExitPredictor {
+    const RESET_LHT: u16 = 0;
+    const RESET_PT: (u8, u8) = (0, 0);
+    const RESET_CHOOSER: u8 = 1;
+
     /// `entries` must be a power of two (table size of each component).
     pub fn new(entries: usize) -> ExitPredictor {
         assert!(entries.is_power_of_two());
         ExitPredictor {
             mask: entries - 1,
-            lht: vec![0; entries],
-            lpt: vec![(0, 0); entries],
-            gpt: vec![(0, 0); entries],
-            chooser: vec![1; entries],
+            lht: vec![Self::RESET_LHT; entries],
+            lpt: vec![Self::RESET_PT; entries],
+            gpt: vec![Self::RESET_PT; entries],
+            chooser: vec![Self::RESET_CHOOSER; entries],
             ghr: 0,
         }
     }
@@ -308,31 +315,42 @@ impl NextBlockPredictor {
 
     /// Captures the learned tables for a live-point (statistics excluded).
     pub fn snapshot(&self) -> PredictorSnapshot {
+        let (e, t) = (&self.exits, &self.targets);
         PredictorSnapshot {
-            lht: self.exits.lht.clone(),
-            lpt: self.exits.lpt.clone(),
-            gpt: self.exits.gpt.clone(),
-            chooser: self.exits.chooser.clone(),
-            ghr: self.exits.ghr,
-            btb: self.targets.btb.clone(),
-            ras: self.targets.ras.clone(),
+            lht: sparse_table(&e.lht, ExitPredictor::RESET_LHT),
+            lpt: sparse_table(&e.lpt, ExitPredictor::RESET_PT),
+            gpt: sparse_table(&e.gpt, ExitPredictor::RESET_PT),
+            chooser: sparse_table(&e.chooser, ExitPredictor::RESET_CHOOSER),
+            ghr: e.ghr,
+            btb: sparse_table(&t.btb, None),
+            ras: t.ras.clone(),
         }
     }
 
-    /// Restores state captured by [`NextBlockPredictor::snapshot`]. Table
-    /// geometries must match (the live-point key's config signature
-    /// guarantees it); `stats` is left untouched for the caller to
-    /// baseline.
-    pub fn restore(&mut self, s: &PredictorSnapshot) {
-        debug_assert_eq!(self.exits.lht.len(), s.lht.len(), "table size mismatch");
-        debug_assert_eq!(self.targets.btb.len(), s.btb.len(), "BTB size mismatch");
-        self.exits.lht.clone_from(&s.lht);
-        self.exits.lpt.clone_from(&s.lpt);
-        self.exits.gpt.clone_from(&s.gpt);
-        self.exits.chooser.clone_from(&s.chooser);
-        self.exits.ghr = s.ghr;
-        self.targets.btb.clone_from(&s.btb);
-        self.targets.ras.clone_from(&s.ras);
+    /// Restores state captured by [`NextBlockPredictor::snapshot`]: every
+    /// table is reset, then the image's entries are scattered into it.
+    /// `stats` is left untouched for the caller to baseline.
+    ///
+    /// # Errors
+    /// A table entry out of range, unsorted or repeated, or a
+    /// return-address stack deeper than this predictor's.
+    pub fn restore(&mut self, s: &PredictorSnapshot) -> Result<(), String> {
+        let (e, t) = (&mut self.exits, &mut self.targets);
+        if s.ras.len() > t.ras_depth {
+            return Err(format!(
+                "return-stack image holds {} entries, the stack {}",
+                s.ras.len(),
+                t.ras_depth
+            ));
+        }
+        scatter_table(&s.lht, &mut e.lht, ExitPredictor::RESET_LHT)?;
+        scatter_table(&s.lpt, &mut e.lpt, ExitPredictor::RESET_PT)?;
+        scatter_table(&s.gpt, &mut e.gpt, ExitPredictor::RESET_PT)?;
+        scatter_table(&s.chooser, &mut e.chooser, ExitPredictor::RESET_CHOOSER)?;
+        scatter_table(&s.btb, &mut t.btb, None)?;
+        e.ghr = s.ghr;
+        t.ras.clone_from(&s.ras);
+        Ok(())
     }
 }
 
@@ -446,21 +464,112 @@ impl LoadWaitTable {
     /// Captures the learned wait bits for a live-point.
     pub fn snapshot(&self) -> LoadWaitSnapshot {
         LoadWaitSnapshot {
-            bits: self.bits.clone(),
+            bits: sparse_table(&self.bits, false),
         }
     }
 
     /// Restores bits captured by [`LoadWaitTable::snapshot`] (`violations`
     /// is the caller's to baseline).
-    pub fn restore(&mut self, s: &LoadWaitSnapshot) {
-        debug_assert_eq!(self.bits.len(), s.bits.len(), "table size mismatch");
-        self.bits.clone_from(&s.bits);
+    ///
+    /// # Errors
+    /// An entry out of range, unsorted or repeated.
+    pub fn restore(&mut self, s: &LoadWaitSnapshot) -> Result<(), String> {
+        scatter_table(&s.bits, &mut self.bits, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// One transfer of a random block stream: a few dozen blocks, their
+    /// exits, kinds and targets drawn so tables alias and the return
+    /// stack overflows.
+    fn transfer(
+        p: &mut NextBlockPredictor,
+        (block, exit, kind, target, multi): (u32, u8, u8, u32, bool),
+    ) -> (Option<u32>, bool) {
+        let kind = [ExitKind::Jump, ExitKind::Call, ExitKind::Ret][usize::from(kind)];
+        let cont = (kind == ExitKind::Call).then_some(block + 1);
+        p.predict_and_update(block, exit, kind, target, cont, multi)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// A predictor restored from its sparse image — into a predictor
+        /// that has already learned another stream — predicts exactly as
+        /// the original does for the rest of the sequence.
+        #[test]
+        fn predictor_resumes_exactly_from_its_image(
+            ops in prop::collection::vec((0u32..48, 0u8..8, 0u8..3, 0u32..64, any::<bool>()), 400..800),
+            split in 0usize..400,
+        ) {
+            let mut orig = NextBlockPredictor::new(64, 32, 4);
+            let mut resumed: Option<NextBlockPredictor> = None;
+            for (step, &op) in ops.iter().enumerate() {
+                if step == split {
+                    let img = orig.snapshot();
+                    let img: PredictorSnapshot =
+                        serde::bin::from_bytes(&serde::bin::to_bytes(&img)).unwrap();
+                    let mut r = NextBlockPredictor::new(64, 32, 4);
+                    for b in 0..200 {
+                        transfer(&mut r, (b % 61, (b % 5) as u8, (b % 3) as u8, b, true));
+                    }
+                    r.restore(&img).unwrap();
+                    prop_assert_eq!(r.snapshot(), img);
+                    resumed = Some(r);
+                }
+                let got = transfer(&mut orig, op);
+                if let Some(r) = resumed.as_mut() {
+                    prop_assert_eq!(transfer(r, op), got, "step {}", step);
+                }
+            }
+            prop_assert_eq!(resumed.unwrap().snapshot(), orig.snapshot());
+        }
+    }
+
+    #[test]
+    fn malformed_predictor_images_are_rejected() {
+        let mut p = NextBlockPredictor::new(64, 32, 4);
+        for b in 0..100 {
+            transfer(&mut p, (b % 7, (b % 3) as u8, 1, b, true));
+        }
+        let good = p.snapshot();
+        let mut bad = Vec::new();
+        let mut s = good.clone();
+        s.lht.push((64, 1)); // index past the table
+        bad.push(s);
+        let mut s = good.clone();
+        s.btb.push((u32::MAX, Some((1, 1))));
+        bad.push(s);
+        let mut s = good.clone();
+        s.chooser = vec![(9, 3), (4, 0)]; // unsorted
+        bad.push(s);
+        let mut s = good.clone();
+        s.gpt = vec![(9, (1, 1)), (9, (2, 1))]; // repeated
+        bad.push(s);
+        let mut s = good.clone();
+        s.ras = vec![1; 5]; // deeper than the 4-entry stack
+        bad.push(s);
+        for s in &bad {
+            assert!(
+                NextBlockPredictor::new(64, 32, 4).restore(s).is_err(),
+                "{s:?}"
+            );
+        }
+        // The well-formed image still restores.
+        let mut fresh = NextBlockPredictor::new(64, 32, 4);
+        fresh.restore(&good).unwrap();
+        assert_eq!(fresh.snapshot(), good);
+        let mut lwt = LoadWaitTable::new(16);
+        let img = LoadWaitSnapshot {
+            bits: vec![(3, true), (16, true)],
+        };
+        assert!(lwt.restore(&img).is_err());
+    }
 
     #[test]
     fn exit_predictor_learns_constant_exit() {

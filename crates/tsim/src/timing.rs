@@ -26,9 +26,9 @@
 //! one measured window per behavior cluster and extrapolates by cluster
 //! population instead of sampling every period.
 
-use crate::cache::{BankPorts, BankPortsSnapshot, Cache, CacheSnapshot};
+use crate::cache::{BankPorts, Cache, ClaimsSnapshot};
 use crate::config::TripsConfig;
-use crate::opn::{Node, Opn, OpnSnapshot, TrafficClass};
+use crate::opn::{Node, Opn, TrafficClass};
 use crate::predictor::{
     ExitKind, LoadWaitSnapshot, LoadWaitTable, NextBlockPredictor, PredictorSnapshot,
 };
@@ -42,6 +42,7 @@ use trips_ir::Program;
 use trips_isa::block::ExitTarget;
 use trips_isa::interp::{BlockTrace, TraceSrc, TripsExecError};
 use trips_isa::{TOpcode, TraceLog};
+use trips_sample::sparse::SparseWays;
 use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode, Schedule};
 
 /// Simulation failures (functional execution errors surface unchanged).
@@ -248,18 +249,20 @@ struct PendingExit {
 /// control transfer) and *none* of the accounting: a replay restored from
 /// a live-point starts all counters at zero, so its accounting is exactly
 /// the window's delta and per-window deltas sum to the sequential totals.
+/// Caches, predictor tables and occupancy are stored sparse
+/// ([`trips_sample::sparse`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TsimSnapshot {
     /// Stream unit the snapshot was taken at (before processing it).
     unit: u64,
-    opn: OpnSnapshot,
+    opn: ClaimsSnapshot,
     et_free: [u64; 16],
-    l1d: Vec<CacheSnapshot>,
-    dt_banks: BankPortsSnapshot,
-    l2: CacheSnapshot,
-    l2_banks: BankPortsSnapshot,
-    dram: BankPortsSnapshot,
-    icache: CacheSnapshot,
+    l1d: Vec<SparseWays>,
+    dt_banks: ClaimsSnapshot,
+    l2: SparseWays,
+    l2_banks: ClaimsSnapshot,
+    dram: ClaimsSnapshot,
+    icache: SparseWays,
     predictor: PredictorSnapshot,
     lwt: LoadWaitSnapshot,
     reg_avail: Vec<(u8, u64)>,
@@ -898,9 +901,11 @@ impl<'a> Timing<'a> {
         }
     }
 
-    /// Restores a live-point into a freshly constructed machine. All
-    /// accounting stays at zero, so everything this replay subsequently
-    /// counts is the window's own delta.
+    /// Restores a live-point into a freshly constructed machine (every
+    /// model structure is overwritten, so the machine state would be exact
+    /// on a used one too). All accounting stays at zero, so everything
+    /// this replay subsequently counts is the window's own delta. A
+    /// malformed or foreign image is an `Err`.
     fn restore(&mut self, s: &TsimSnapshot) -> Result<(), String> {
         if self.l1d.len() != s.l1d.len() {
             return Err(format!(
@@ -909,18 +914,18 @@ impl<'a> Timing<'a> {
                 self.l1d.len()
             ));
         }
-        self.opn.restore(&s.opn);
+        self.opn.restore(&s.opn)?;
         self.et_free = s.et_free;
         for (c, cs) in self.l1d.iter_mut().zip(&s.l1d) {
-            c.restore(cs);
+            c.restore(cs)?;
         }
-        self.dt_banks.restore(&s.dt_banks);
-        self.l2.restore(&s.l2);
-        self.l2_banks.restore(&s.l2_banks);
-        self.dram.restore(&s.dram);
-        self.icache.restore(&s.icache);
-        self.predictor.restore(&s.predictor);
-        self.lwt.restore(&s.lwt);
+        self.dt_banks.restore(&s.dt_banks)?;
+        self.l2.restore(&s.l2)?;
+        self.l2_banks.restore(&s.l2_banks)?;
+        self.dram.restore(&s.dram)?;
+        self.icache.restore(&s.icache)?;
+        self.predictor.restore(&s.predictor)?;
+        self.lwt.restore(&s.lwt)?;
         self.reg_avail.clear();
         for &(r, t) in &s.reg_avail {
             self.reg_avail.insert(r, t);
@@ -1240,6 +1245,106 @@ mod tests {
             assemble_trips_phased(&log, &plan, &[]),
             Err(SimError::Trace(_))
         ));
+    }
+
+    /// The wire shape of a [`SparseWays`] image, for hand-made bad ones.
+    #[derive(Serialize, Deserialize)]
+    struct WaysImage {
+        sets: u32,
+        ways: u32,
+        lines: Vec<(u32, u32, u64, u64)>,
+        stamp: u64,
+    }
+
+    fn recode<A: Serialize, B: serde::DeserializeOwned>(a: &A) -> B {
+        serde::bin::from_bytes(&serde::bin::to_bytes(a)).unwrap()
+    }
+
+    #[test]
+    fn livepoint_restore_rejects_malformed_images() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(log.seq.len() as u64);
+        let cfg = TripsConfig::prototype();
+        let (_, snaps) = replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
+        let good = snaps[2].clone();
+        let l2: WaysImage = recode(&good.l2);
+        assert!(!l2.lines.is_empty());
+        let with_lines = |img: &SparseWays, lines: Vec<(u32, u32, u64, u64)>| -> SparseWays {
+            let mut w: WaysImage = recode(img);
+            w.lines = lines;
+            recode(&w)
+        };
+        let mut bad: Vec<(&str, TsimSnapshot)> = Vec::new();
+        let mut s = good.clone();
+        s.l2 = with_lines(&good.l2, vec![(l2.sets, 0, 1, 1)]);
+        bad.push(("L2 set out of range", s));
+        let mut s = good.clone();
+        s.l1d[1] = with_lines(&good.l1d[1], vec![(0, l2.ways + 64, 1, 1)]);
+        bad.push(("L1D way out of range", s));
+        let mut s = good.clone();
+        s.icache = with_lines(&good.icache, vec![(2, 0, 1, 1), (1, 0, 1, 1)]);
+        bad.push(("I-cache lines unsorted", s));
+        let mut s = good.clone();
+        s.l2 = with_lines(&good.l2, vec![(1, 1, 1, 1), (1, 1, 2, 2)]);
+        bad.push(("L2 line repeated", s));
+        let mut s = good.clone();
+        s.l2 = recode(&WaysImage {
+            sets: l2.sets / 2,
+            ..l2
+        });
+        bad.push(("L2 geometry", s));
+        let mut s = good.clone();
+        s.l1d.pop();
+        bad.push(("L1D bank count", s));
+        let mut s = good.clone();
+        s.opn.sets.pop();
+        bad.push(("OPN link table size", s));
+        let mut s = good.clone();
+        s.dram.horizon = u64::MAX;
+        s.dram.sets[0] = vec![0, 0];
+        bad.push(("DRAM claims overflow", s));
+        let mut s = good.clone();
+        s.dt_banks.sets.push(Vec::new());
+        bad.push(("data-tile bank count", s));
+        let mut s = good.clone();
+        s.predictor.lht.push((u32::MAX, 1));
+        bad.push(("predictor entry out of range", s));
+        let mut s = good.clone();
+        s.lwt.bits = vec![(4, true), (4, true)];
+        bad.push(("load-wait entry repeated", s));
+        for (what, s) in &bad {
+            let mut t = Timing::new(&compiled, &cfg);
+            assert!(t.restore(s).is_err(), "{what}");
+            assert!(
+                matches!(
+                    replay_trips_window(&compiled, &cfg, &log, &plan.windows[2], s),
+                    Err(SimError::Trace(_))
+                ),
+                "{what}"
+            );
+        }
+        // Flipped bytes either fail to decode or restore to Ok or Err; no
+        // image panics the restore.
+        let bytes = serde::bin::to_bytes(&good);
+        let mut t = Timing::new(&compiled, &cfg);
+        for i in (0..bytes.len()).step_by(bytes.len() / 500 + 1) {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut b = bytes.clone();
+                b[i] ^= flip;
+                if let Ok(s) = serde::bin::from_bytes::<TsimSnapshot>(&b) {
+                    let _ = t.restore(&s);
+                }
+            }
+        }
     }
 
     #[test]

@@ -263,4 +263,4 @@ fn sampled_stats_and_livepoint_bytes_match_the_golden_values() {
 /// Captured alongside [`GOLDEN`].
 const GOLDEN_SAMPLED: &str = r#"sampled: est_cycles=39783 cycles=13617 blocks=600 packets=44012 hops=50121 contention=25070 bank_conflicts=422 l1d_misses=8 load_flushes=0 window_inst_cycles=4824429 hist=[("EtDt", [0, 566, 2011, 2319, 1158, 446]), ("EtEt", [16997, 12822, 2263, 827, 0, 208]), ("EtGt", [0, 0, 28, 109, 202, 261]), ("EtRt", [0, 1294, 1171, 928, 199, 203])]
 phased: est_cycles=38706 cycles=20498 blocks=1000 packets=71556 hops=81733 contention=40954 bank_conflicts=759 l1d_misses=10 load_flushes=0 window_inst_cycles=7334631 hist=[("EtDt", [0, 884, 3301, 3654, 1896, 764]), ("EtEt", [27816, 20440, 3760, 1338, 0, 322]), ("EtGt", [0, 0, 47, 188, 373, 392]), ("EtRt", [0, 2160, 1927, 1571, 351, 372])]
-snapshots=[(295509, 2404797272403792701), (403858, 15060842910716545928), (444836, 8470962270311820051)]"#;
+snapshots=[(810, 8726514972337030896), (73989, 15911344032417287784), (102049, 7338452663205447542)]"#;
